@@ -21,8 +21,6 @@ type loadOptions struct {
 	connect     bool
 	advise      bool
 	groupWindow time.Duration
-	groupMax    int
-	rowDiffs    bool
 	baseline    bool
 	notes       string
 	out         string
@@ -47,13 +45,11 @@ func runLoad(o loadOptions) error {
 	cfg.Connect = o.connect
 	cfg.Advise = o.advise
 	cfg.GroupWindow = o.groupWindow
-	cfg.GroupMax = o.groupMax
-	cfg.RowDiffs = o.rowDiffs
 	cfg.CompareBaseline = o.baseline
 	cfg.Notes = o.notes
 
-	fmt.Printf("load benchmark: preset %s, %d workers, %s steady state, seed %d, recovery %v, trace %v, connect %v, advise %v, group window %s, row diffs %v\n",
-		cfg.Name, cfg.Workers, cfg.Duration, cfg.Seed, cfg.Recovery, cfg.Trace, cfg.Connect, cfg.Advise, cfg.GroupWindow, cfg.RowDiffs)
+	fmt.Printf("load benchmark: preset %s, %d workers, %s steady state, seed %d, recovery %v, trace %v, connect %v, advise %v, group window %s\n",
+		cfg.Name, cfg.Workers, cfg.Duration, cfg.Seed, cfg.Recovery, cfg.Trace, cfg.Connect, cfg.Advise, cfg.GroupWindow)
 	rep, err := loadgen.Run(cfg)
 	if err != nil {
 		return err
@@ -122,8 +118,8 @@ func printLoadReport(rep *loadgen.Report) {
 		fmt.Printf("traces: %d plan runs traced, %d missing\n", rep.RunsTraced, rep.RunsMissingTrace)
 	}
 	if rep.Recovery != nil {
-		fmt.Printf("recovery: killed=%v restart=%.1fms sessions %d -> %d verified=%v errors=%d\n",
+		fmt.Printf("recovery: killed=%v restart=%.1fms sessions %d (%d durable) -> %d verified=%v errors=%d\n",
 			rep.Recovery.Killed, rep.Recovery.RestartMs, rep.Recovery.SessionsBefore,
-			rep.Recovery.SessionsRestored, rep.Recovery.Verified, rep.Recovery.Errors)
+			rep.Recovery.SessionsDurable, rep.Recovery.SessionsRestored, rep.Recovery.Verified, rep.Recovery.Errors)
 	}
 }

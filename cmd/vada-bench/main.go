@@ -45,9 +45,7 @@ func main() {
 	loadConnect := flag.Bool("load-connect", false, "add the connector ingest/export round-trip op to the worker mix (-exp load)")
 	loadAdvise := flag.Bool("load-advise", false, "add the advisor suggestion/acceptance loop op to the worker mix (-exp load)")
 	loadGroupWindow := flag.Duration("load-group-window", 0, "journal group-commit window on the hosted server (0 = fsync per append; -exp load)")
-	loadGroupMax := flag.Int("load-group-max", 0, "group-commit batch cap (0 = default; -exp load)")
-	loadRowDiffs := flag.Bool("load-row-diffs", false, "journal relation replacements as row-level diffs on the hosted server (-exp load)")
-	loadBaseline := flag.Bool("load-baseline", false, "also run the snapshot-per-stage baseline pass (group commit and row diffs off) and embed its durability cost in the report (-exp load)")
+	loadBaseline := flag.Bool("load-baseline", false, "also run the snapshot-per-stage baseline pass (journal and group commit off) and embed its durability cost in the report (-exp load)")
 	loadNotes := flag.String("load-notes", "", "free-form note copied into the report (-exp load)")
 	out := flag.String("out", "", "write the load report JSON here (-exp load; \"\" = stdout only)")
 	flag.Parse()
@@ -58,8 +56,7 @@ func main() {
 			duration: *loadDuration, recovery: *loadRecovery, strict: *loadStrict,
 			trace: *loadTrace, traceDump: *loadTraceDump, connect: *loadConnect,
 			advise:      *loadAdvise,
-			groupWindow: *loadGroupWindow, groupMax: *loadGroupMax,
-			rowDiffs: *loadRowDiffs, baseline: *loadBaseline,
+			groupWindow: *loadGroupWindow, baseline: *loadBaseline,
 			notes: *loadNotes, out: *out,
 		}
 		if err := runLoad(opts); err != nil {

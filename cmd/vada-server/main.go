@@ -27,27 +27,21 @@ func main() {
 	flag.IntVar(&cfg.MaxN, "max-n", 2000, "largest scenario size a client may request")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "default scenario seed for new sessions")
 	flag.IntVar(&cfg.MaxSessions, "max-sessions", 64, "live session cap (0 = unlimited)")
-	flag.IntVar(&cfg.SessionShards, "session-shards", 0, "session store stripe count (0 = default)")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Minute, "evict sessions idle this long (0 = never)")
 	flag.IntVar(&cfg.RunWorkers, "run-workers", 8, "async run engine worker-pool size")
 	flag.IntVar(&cfg.RunQueue, "run-queue", 256, "async run queue depth (0 = unlimited)")
 	flag.IntVar(&cfg.RunSessionQueue, "run-session-queue", 16, "pending async runs one session may hold (0 = unlimited)")
 	flag.DurationVar(&cfg.SSEKeepAlive, "sse-keepalive", 15*time.Second, "SSE keep-alive comment interval (0 = disabled)")
 	flag.DurationVar(&cfg.SSEWriteTimeout, "sse-write-timeout", 10*time.Second, "SSE per-write deadline (0 = none)")
-	flag.StringVar(&cfg.DataDir, "data-dir", "", "persist sessions to this directory and restore them on boot (\"\" = ephemeral)")
-	flag.BoolVar(&cfg.Journal, "journal", true, "incremental durability: append per-stage/per-run records to <id>.vjournal instead of rewriting the snapshot (requires -data-dir)")
+	flag.StringVar(&cfg.DataDir, "data-dir", "", "persist sessions to this directory (an incremental journal per session) and restore them on boot (\"\" = ephemeral)")
 	flag.IntVar(&cfg.JournalMaxRecords, "journal-max-records", 512, "compact a session's journal into a fresh snapshot after this many records (0 = no record threshold)")
 	flag.Int64Var(&cfg.JournalMaxBytes, "journal-max-bytes", 8<<20, "compact a session's journal after this many bytes since the last compaction (0 = no byte threshold)")
 	flag.DurationVar(&cfg.JournalGroupWindow, "journal-group-window", 0, "group-commit latency window: journal appends landing within it share one fsync (0 = fsync per append)")
-	flag.IntVar(&cfg.JournalGroupMax, "journal-group-max", 0, "appends one group-commit batch may absorb (0 = default)")
-	flag.BoolVar(&cfg.JournalRowDiffs, "journal-row-diffs", false, "journal relation replacements as row-level diffs instead of wholesale relation clones")
 	flag.BoolVar(&cfg.RestoreClosed, "restore-closed", false, "restore explicitly DELETEd sessions archived under <data-dir>/closed/ at boot")
 	flag.BoolVar(&cfg.Trace, "trace", true, "record per-request span trees, browsable via GET /api/v1/traces")
 	flag.IntVar(&cfg.TraceCapacity, "trace-max", 0, "traces retained in memory before the oldest is evicted (0 = default)")
-	flag.IntVar(&cfg.TraceMaxSpans, "trace-max-spans", 0, "spans retained per trace (0 = default)")
 	flag.DurationVar(&cfg.TraceSlowThreshold, "trace-slow-threshold", 2*time.Second, "log any span at or over this duration as a structured warning (0 = off)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
-	flag.DurationVar(&cfg.RuntimeSampleEvery, "runtime-sample-every", 0, "runtime gauge (goroutines, heap, GC) sampling interval (0 = default)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()

@@ -20,7 +20,9 @@ import (
 // journal does not belong to this snapshot generation and replay of the
 // remainder stops rather than corrupt Seq continuity. Run records are
 // deduplicated by run ID — terminal runs are immutable, so the first copy
-// wins.
+// wins. A compaction snapshot taken while a stage ran may also hold part of
+// the stage record that follows it; Recorder.Compact makes that record's
+// delta convergent, so applying it in full is exact.
 func Compose(snap *persist.SessionSnapshot, recs []Record) *persist.SessionSnapshot {
 	if snap == nil {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -680,4 +681,92 @@ func TestRecorderDeferredBaseline(t *testing.T) {
 	if calls2 != 0 {
 		t.Fatalf("baseline ran %d times after compaction, want 0", calls2)
 	}
+}
+
+// TestRecorderCompactMidStage pins compaction racing a running stage: the
+// snapshot is taken between two row-diffable puts of one stage, so it holds
+// the first put while the stage's record, cut afterwards, carries both.
+// Snapshot plus journal must still replay to exactly the live state.
+func TestRecorderCompactMidStage(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	sess, rec, w := stageJournal(t, dir, 50)
+	defer w.Close()
+	if _, err := sess.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var compacted bytes.Buffer
+	var grown string
+	if _, err := sess.Step(ctx, "grow", func(cw *core.Wrangler) error {
+		for _, name := range cw.KB.RelationNames("") {
+			if cw.KB.RelationCardinality(name) >= 4 {
+				grown = name
+				break
+			}
+		}
+		if grown == "" {
+			t.Fatal("bootstrap left no relation to grow")
+		}
+		grow := func() {
+			r := cw.KB.Relation(grown)
+			r.Tuples = append(r.Tuples, r.Tuples[len(r.Tuples)-1].Clone())
+			cw.KB.PutRelation(grown, r)
+		}
+		grow()
+		if err := rec.Compact(func() error {
+			compacted.Reset()
+			return persist.ExportSession(&compacted, sess, nil)
+		}); err != nil {
+			return err
+		}
+		grow()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(bytes.NewReader(data))
+	if err != nil || res.Damaged || len(res.Records) != 1 {
+		t.Fatalf("replay: %v damaged=%v n=%d", err, res.Damaged, len(res.Records))
+	}
+	snap, err := persist.ReadSessionSnapshot(bytes.NewReader(compacted.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Events) != 1 {
+		t.Fatalf("mid-stage snapshot holds %d events, want 1", len(snap.Events))
+	}
+	composed := Compose(snap, res.Records)
+	if len(composed.Events) != 2 {
+		t.Fatalf("composed events = %d, want 2", len(composed.Events))
+	}
+	if got, want := kbContent(t, composed.KB), kbContent(t, sess.Wrangler().KB); got != want {
+		t.Fatalf("snapshot + journal drifted from the live KB (relation %s: %d rows live, %d replayed)",
+			grown, sess.Wrangler().KB.RelationCardinality(grown), composed.KB.RelationCardinality(grown))
+	}
+}
+
+// kbContent renders a KB's facts and relations without its version: a
+// replayed KB converges on content, while its change counter may differ.
+func kbContent(t *testing.T, k *kb.KB) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := k.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "version")
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

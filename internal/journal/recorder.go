@@ -29,10 +29,6 @@ type Recorder struct {
 	w    *Writer
 	sess *session.Session
 
-	// rowDiffs switches the change log to row-level relation patches
-	// (WithRowDiffs); set once at construction.
-	rowDiffs bool
-
 	// mu orders appends against compaction; fbCount and runSeen track what
 	// is already durable so records stay deltas.
 	mu      sync.Mutex
@@ -65,20 +61,15 @@ func WithBaseline(fn func() error) RecorderOption {
 	return func(r *Recorder) { r.baseline = fn }
 }
 
-// WithRowDiffs makes the recorder's change log capture relation puts as
-// row-level patch ops (see kb.SetDeltaRowDiffs) instead of wholesale
-// clones. Safe here and only here: the recorder's deltas are replayed
-// exclusively through the journal's sequence-gated Compose, which applies
-// each record at most once — the condition patch ops require.
-func WithRowDiffs() RecorderOption {
-	return func(r *Recorder) { r.rowDiffs = true }
-}
-
 // NewRecorder wires a recorder over an open journal writer and a live (or
 // just-restored) session. knownRuns seeds the already-journaled set —
 // the terminal runs the snapshot and the recovered journal records already
 // carry. The wrangler's change log starts (or restarts) here: the baseline
 // of the first cut is the state the snapshot+journal pair already holds.
+// The log captures relation replacements as row-level patch ops, which is
+// safe because the recorder's deltas are replayed only through the
+// journal's sequence-gated Compose, applying each record at most once, and
+// Compact makes the one record that can straddle a snapshot convergent.
 func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run, opts ...RecorderOption) *Recorder {
 	r := &Recorder{
 		w:       w,
@@ -89,7 +80,6 @@ func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run, opts ..
 	for _, opt := range opts {
 		opt(r)
 	}
-	sess.Wrangler().KB.SetDeltaRowDiffs(r.rowDiffs)
 	sess.Wrangler().StartChangeLog()
 	return r
 }
@@ -242,9 +232,16 @@ func (r *Recorder) ShouldCompact(maxRecords int, maxBytes int64) bool {
 // truncate and then lost; a crash between writeSnapshot succeeding and the
 // truncate leaves already-folded records in the journal, which recovery
 // skips by sequence and run ID.
+//
+// The snapshot does not wait for a running stage, so it may hold part of
+// that stage's writes while the stage's record — cut after the snapshot,
+// with the next sequence number — replays over it in full. The change log
+// is made convergent first (kb.ConvergeDelta), so that replay cannot apply
+// a row patch twice.
 func (r *Recorder) Compact(writeSnapshot func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.sess.Wrangler().KB.ConvergeDelta()
 	if err := writeSnapshot(); err != nil {
 		return err
 	}

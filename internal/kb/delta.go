@@ -26,13 +26,15 @@ const (
 	// (one occurrence per listed tuple, matched by Tuple.Key), then Added
 	// tuples are inserted — at the final positions AddedAt names, or
 	// appended when AddedAt is nil — reproducing the replacement relation
-	// exactly, order included. It is logged (opt-in, see
-	// KB.SetDeltaRowDiffs) only when the reconstruction provably equals
-	// the wholesale put it replaces; anything else falls back to
-	// DeltaPutRelation. Unlike the other kinds a patch is not idempotent —
-	// re-applying one duplicates its Added rows — so it relies on the
-	// journal's replay gating (records a snapshot already folded in are
-	// skipped whole, by sequence) rather than on op-level convergence.
+	// exactly, order included. It is logged (see KB.PutRelation) only
+	// when the reconstruction provably equals the wholesale put it
+	// replaces; anything else falls back to DeltaPutRelation. Unlike the
+	// other kinds a patch is not idempotent — re-applying one duplicates
+	// its Added rows — so it relies on the journal's replay gating
+	// (records a snapshot already folded in are skipped whole, by
+	// sequence) rather than on op-level convergence, and a cut that a
+	// snapshot may have captured part of is made convergent first (see
+	// ConvergeDelta).
 	DeltaPatchRelation DeltaKind = "patch-rel"
 )
 
@@ -77,6 +79,11 @@ func (d *Delta) Empty() bool { return d == nil || len(d.Ops) == 0 }
 // grows until the next CutDelta, so callers cut at natural boundaries —
 // once per completed wrangling stage, in the journal's case. Starting an
 // already-started log resets it.
+//
+// Relation replacements are logged as row-level DeltaPatchRelation ops
+// where those provably reproduce the new relation (see PutRelation), so a
+// delta must be replayed at most once over the state it was cut from, as
+// the journal's sequence-gated Compose does.
 func (k *KB) StartDeltaLog() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -85,31 +92,7 @@ func (k *KB) StartDeltaLog() {
 	k.deltaFrom = k.version
 	k.deltaRelOp = nil
 	k.deltaRelBase = nil
-}
-
-// SetDeltaRowDiffs switches how an active delta log captures relation
-// puts. Off (the default), every put logs a wholesale DeltaPutRelation
-// clone. On, a put replacing an existing same-schema relation is captured
-// as a row-level DeltaPatchRelation — added and removed tuples only — when
-// that patch provably reproduces the replacement exactly, with wholesale
-// puts as the fallback and nothing logged for unchanged relations. Re-puts
-// of the same relation within one cut coalesce into a single op carrying
-// the net change against the cut-start state, so a stage that rewrites a
-// relation several times journals it once. Row diffs trade op-level
-// idempotency (see DeltaPatchRelation) for O(changed rows) journal
-// records; enable them only under a replay path that applies each record
-// at most once, like the journal's sequence-gated Compose.
-func (k *KB) SetDeltaRowDiffs(on bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.rowDiffs = on
-}
-
-// DeltaRowDiffs reports whether relation puts are captured as row diffs.
-func (k *KB) DeltaRowDiffs() bool {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.rowDiffs
+	k.deltaConverge = false
 }
 
 // StopDeltaLog stops recording and discards any uncut ops.
@@ -120,6 +103,40 @@ func (k *KB) StopDeltaLog() {
 	k.deltaOps = nil
 	k.deltaRelOp = nil
 	k.deltaRelBase = nil
+	k.deltaConverge = false
+}
+
+// ConvergeDelta makes the uncut log replayable over any state between the
+// cut's start and the end of the cut — the state a snapshot taken while
+// writes continue may hold. Patch ops are not convergent, so for every
+// relation the log has patched it appends a wholesale put of the
+// relation's current state (a drop when it is gone); until the next cut,
+// relation puts then log wholesale puts only. Every other op kind sets
+// state rather than editing it, so replaying the whole cut over such a
+// snapshot converges on the live state. Journal compaction calls it before
+// capturing its snapshot: a stage still running then cuts its record after
+// the snapshot, and replay applies that record over it.
+func (k *KB) ConvergeDelta() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if !k.deltaOn || k.deltaConverge {
+		return
+	}
+	k.deltaConverge = true
+	patched := map[string]bool{}
+	for _, op := range k.deltaOps {
+		if op.Kind != DeltaPatchRelation || patched[op.Name] {
+			continue
+		}
+		patched[op.Name] = true
+		if r, ok := k.relations[op.Name]; ok {
+			k.deltaOps = append(k.deltaOps, DeltaOp{Kind: DeltaPutRelation, Name: op.Name, Relation: r.Clone()})
+		} else {
+			k.deltaOps = append(k.deltaOps, DeltaOp{Kind: DeltaDropRelation, Name: op.Name})
+		}
+	}
+	// Later puts must not rewrite an op that precedes these.
+	k.deltaRelOp = nil
 }
 
 // DeltaLogging reports whether a delta log is active.
@@ -151,6 +168,7 @@ func (k *KB) CutDelta() *Delta {
 	k.deltaFrom = k.version
 	k.deltaRelOp = nil
 	k.deltaRelBase = nil
+	k.deltaConverge = false
 	return d
 }
 
@@ -165,7 +183,8 @@ func (k *KB) CutDelta() *Delta {
 // counter may advance further; content converges). Patch ops are the
 // exception: they must be applied exactly once over the state they were
 // cut from, which the journal guarantees by skipping already-folded
-// records whole (sequence-gated in Compose).
+// records whole (sequence-gated in Compose) and, for the one record a
+// compaction snapshot may have captured part of, by ConvergeDelta.
 func (k *KB) ApplyDelta(d *Delta) {
 	if d == nil {
 		return

@@ -21,7 +21,6 @@ func resultRel(rows ...[]any) *relation.Relation {
 // converges byte-identically — the journal's core contract.
 func TestRowDiffPatchOps(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0}))
 	base := k.Snapshot()
@@ -65,7 +64,6 @@ func TestRowDiffPatchOps(t *testing.T) {
 // still converges on the version via Delta.To.
 func TestRowDiffUnchangedLogsNothing(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel([]any{"1 High St", 100.0}))
 	base := k.Snapshot()
 
@@ -91,7 +89,6 @@ func TestRowDiffUnchangedLogsNothing(t *testing.T) {
 // their insertion positions, and replay must converge byte-identically.
 func TestRowDiffMidRelationEdits(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0},
 		[]any{"3 High St", 300.0}, []any{"4 High St", 400.0},
@@ -137,7 +134,6 @@ func TestRowDiffMidRelationEdits(t *testing.T) {
 // appends keep the nil added_at encoding.
 func TestRowDiffTailAppendOmitsPositions(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel([]any{"1 High St", 100.0}, []any{"2 High St", 200.0}))
 	k.StartDeltaLog()
 	k.PutRelation("result", resultRel(
@@ -175,7 +171,6 @@ func TestPatchRelationAtMalformedPositions(t *testing.T) {
 // re-put landing back on the original state journals nothing at all.
 func TestRowDiffCoalescesRePuts(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0}))
 	base := k.Snapshot()
@@ -226,7 +221,6 @@ func TestRowDiffCoalescesRePuts(t *testing.T) {
 // wholesale (replay passes through the drop).
 func TestRowDiffCoalesceRespectsDrop(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel([]any{"1 High St", 100.0}))
 	base := k.Snapshot()
 
@@ -259,8 +253,8 @@ func TestRowDiffCoalesceRespectsDrop(t *testing.T) {
 }
 
 // TestRowDiffFallbacks pins every wholesale-fallback path: first put (no
-// old), schema change, reordering/mid-insert, diffs as large as the
-// relation, and row diffs disabled.
+// old), schema change, reordering/mid-insert, and diffs as large as the
+// relation.
 func TestRowDiffFallbacks(t *testing.T) {
 	cases := []struct {
 		name string
@@ -291,7 +285,6 @@ func TestRowDiffFallbacks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := New()
-			k.SetDeltaRowDiffs(true)
 			tc.prep(k)
 			base := k.Snapshot()
 			k.StartDeltaLog()
@@ -320,7 +313,6 @@ func TestRowDiffFallbacks(t *testing.T) {
 // must patch exactly (bag, not set, semantics).
 func TestRowDiffBagSemantics(t *testing.T) {
 	k := New()
-	k.SetDeltaRowDiffs(true)
 	k.PutRelation("result", resultRel(
 		[]any{"1 High St", 100.0}, []any{"1 High St", 100.0}, []any{"2 High St", 200.0}))
 	base := k.Snapshot()
@@ -373,5 +365,64 @@ func TestPatchRelationDirect(t *testing.T) {
 	}
 	if got := k.RelationCardinality("result"); got != 2 {
 		t.Fatalf("cardinality after patch = %d, want 2", got)
+	}
+}
+
+// TestConvergeDeltaMidCut pins the compaction contract: once ConvergeDelta
+// marks a cut, replaying the whole cut converges on the live state both
+// from the cut's start and from a snapshot taken mid-cut, which already
+// holds the cut's earlier patches. Without it the earlier patches would
+// apply twice over that snapshot.
+func TestConvergeDeltaMidCut(t *testing.T) {
+	k := New()
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0}))
+	k.PutRelation("other", resultRel(
+		[]any{"7 Low Rd", 700.0}, []any{"8 Low Rd", 800.0}, []any{"9 Low Rd", 900.0}))
+	k.PutRelation("gone", resultRel(
+		[]any{"5 Mid Ln", 500.0}, []any{"6 Mid Ln", 600.0}, []any{"7 Mid Ln", 700.0}))
+	start := k.Snapshot()
+
+	k.StartDeltaLog()
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0},
+		[]any{"4 High St", 400.0}))
+	k.PutRelation("other", resultRel([]any{"7 Low Rd", 700.0}, []any{"9 Low Rd", 900.0},
+		[]any{"9 Low Rd", 900.0}))
+	k.PutRelation("gone", resultRel([]any{"5 Mid Ln", 500.0}, []any{"6 Mid Ln", 600.0}))
+	k.DropRelation("gone")
+	k.ConvergeDelta()
+	mid := k.Snapshot() // what a compaction snapshot captures
+	k.Assert("md_match", relation.NewTuple("a", 1))
+	// A further append to a patched relation, and a round trip of another
+	// back to its cut-start state: both must log wholesale puts now.
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0},
+		[]any{"4 High St", 400.0}, []any{"5 High St", 500.0}))
+	k.PutRelation("other", resultRel(
+		[]any{"7 Low Rd", 700.0}, []any{"8 Low Rd", 800.0}, []any{"9 Low Rd", 900.0}))
+	d := k.CutDelta()
+
+	last := map[string]DeltaKind{}
+	for _, op := range d.Ops {
+		last[op.Name] = op.Kind
+	}
+	if last["result"] != DeltaPutRelation || last["other"] != DeltaPutRelation || last["gone"] != DeltaDropRelation {
+		t.Fatalf("last op per relation = %v, want put-rel, put-rel, drop-rel", last)
+	}
+	want := contentJSON(t, k)
+	for name, from := range map[string]*KB{"cut start": start, "mid-cut snapshot": mid} {
+		from.ApplyDelta(d)
+		if got := contentJSON(t, from); got != want {
+			t.Fatalf("replay over the %s drifted:\n got %s\nwant %s", name, got, want)
+		}
+	}
+
+	// The next cut logs row patches again.
+	k.PutRelation("result", resultRel(
+		[]any{"1 High St", 100.0}, []any{"2 High St", 200.0}, []any{"3 High St", 300.0},
+		[]any{"4 High St", 400.0}, []any{"5 High St", 500.0}, []any{"6 High St", 600.0}))
+	if d := k.CutDelta(); len(d.Ops) != 1 || d.Ops[0].Kind != DeltaPatchRelation {
+		t.Fatalf("ops after the converged cut = %+v, want one patch-rel", d.Ops)
 	}
 }

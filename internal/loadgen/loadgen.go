@@ -29,9 +29,9 @@ import (
 	"sync"
 	"time"
 
-	"vada"
 	"vada/internal/metrics"
 	"vada/internal/server"
+	"vada/internal/trace"
 )
 
 // Config parameterises one load run.
@@ -73,15 +73,11 @@ type Config struct {
 	// state — the artifact CI uploads when the completeness gate fails.
 	TraceDump string `json:"-"`
 	// GroupWindow enables journal group commit in the hosted server:
-	// appends landing within the window share one fsync. GroupMax caps the
-	// batch (0 = server default).
+	// appends landing within the window share one fsync.
 	GroupWindow time.Duration `json:"-"`
 	// GroupWindowMs mirrors GroupWindow in the JSON report.
 	GroupWindowMs float64 `json:"group_window_ms,omitempty"`
-	GroupMax      int     `json:"group_max,omitempty"`
-	// RowDiffs journals relation replacements as row-level diffs.
-	RowDiffs bool `json:"row_diffs,omitempty"`
-	// SnapshotOnly disables the journal and persists the full snapshot
+	// SnapshotOnly replaces the journal and persists the full snapshot
 	// envelope per completed stage instead — the same per-stage durability
 	// point, paid for wholesale. This is the mode CompareBaseline measures
 	// against.
@@ -89,7 +85,7 @@ type Config struct {
 	// CompareBaseline runs a second, baseline pass — same workload in
 	// SnapshotOnly mode, every persist a full fsynced envelope — and embeds
 	// its durability cost in the report, so one run carries its own
-	// regression reference for the journal + group-commit + row-diff stack.
+	// regression reference for the journal + group-commit stack.
 	CompareBaseline bool `json:"-"`
 	// Notes is free-form context copied into the report (e.g. "tracing
 	// overhead vs BENCH_1").
@@ -127,6 +123,15 @@ type OpStats struct {
 	MaxMs          float64 `json:"max_ms"`
 }
 
+// Totals is the all-ops roll-up of a report. It carries no latency
+// quantiles: those live per op class in OpStats, because quantiles of
+// different op classes do not add up.
+type Totals struct {
+	Count          int64   `json:"count"`
+	Errors         int64   `json:"errors"`
+	ThroughputPerS float64 `json:"throughput_per_s"`
+}
+
 // Baseline is the durability cost of the comparison pass a
 // Config.CompareBaseline run embeds: the same workload in the pre-journal
 // snapshot-per-stage mode. The journalled run regresses when its per-run
@@ -141,12 +146,15 @@ type Baseline struct {
 
 // Recovery is the kill-9/restart section of a report.
 type Recovery struct {
-	Killed           bool    `json:"killed"`
-	RestartMs        float64 `json:"restart_ms"`
-	SessionsBefore   int     `json:"sessions_before"`
-	SessionsRestored int     `json:"sessions_restored"`
-	Verified         bool    `json:"verified"`
-	Errors           int64   `json:"errors"`
+	Killed         bool    `json:"killed"`
+	RestartMs      float64 `json:"restart_ms"`
+	SessionsBefore int     `json:"sessions_before"`
+	// SessionsDurable counts the pool sessions with an acknowledged stage
+	// or run at the kill; every one must be restored.
+	SessionsDurable  int   `json:"sessions_durable"`
+	SessionsRestored int   `json:"sessions_restored"`
+	Verified         bool  `json:"verified"`
+	Errors           int64 `json:"errors"`
 }
 
 // Report is the machine-readable outcome of a load run — the BENCH_<n>.json
@@ -156,7 +164,7 @@ type Report struct {
 	At       time.Time          `json:"at"`
 	ElapsedS float64            `json:"elapsed_s"`
 	Ops      map[string]OpStats `json:"ops"`
-	Totals   OpStats            `json:"totals"`
+	Totals   Totals             `json:"totals"`
 	HTTP5xx  int64              `json:"http_5xx"`
 	// ServerDelta is the server-side counter movement over the run (from
 	// /api/v1/metricz snapshots): fsyncs, journal/snapshot bytes, run
@@ -187,6 +195,13 @@ type driver struct {
 
 	mu   sync.Mutex
 	pool []string // live session IDs
+	// incarnation changes whenever an ID joins or leaves the pool, so an
+	// acknowledgement observed for a deleted (or deleted and re-imported)
+	// session cannot mark its successor. durable holds the pool sessions
+	// with an acknowledged stage or run since they joined: the sessions a
+	// kill -9 must not lose.
+	incarnation map[string]int
+	durable     map[string]bool
 
 	// traceMu guards traceIDs: the trace ID of every accepted plan run,
 	// captured from the Traceparent response header for the completeness
@@ -292,16 +307,15 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // attachBaseline runs the comparison pass — identical workload in
-// snapshot-per-stage mode (journal, group commit and row diffs all off, so
-// every persist is a full fsynced envelope), no recovery or trace phases
-// (the counters it exists for are steady-state) — and embeds its
-// durability cost in r.
+// snapshot-per-stage mode (journal and group commit off, so every persist
+// is a full fsynced envelope), no recovery or trace phases (the counters
+// it exists for are steady-state) — and embeds its durability cost in r.
 func attachBaseline(r *Report, cfg Config) error {
 	bcfg := cfg
 	bcfg.Name = cfg.Name + "-snapshot-baseline"
 	bcfg.CompareBaseline = false
 	bcfg.SnapshotOnly = true
-	bcfg.GroupWindow, bcfg.GroupMax, bcfg.RowDiffs = 0, 0, false
+	bcfg.GroupWindow = 0
 	bcfg.Recovery, bcfg.Trace, bcfg.TraceDump = false, false, ""
 	bcfg.Notes = ""
 	bcfg.DataDir = ""
@@ -352,7 +366,7 @@ func (d *driver) verifyTraces() (traced, missing int64) {
 func (d *driver) writeTraceDump(path string) error {
 	dump := d.srv.TraceDump()
 	if dump == nil {
-		dump = map[string][]vada.TraceSpanData{}
+		dump = map[string][]trace.SpanData{}
 	}
 	data, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {
@@ -406,16 +420,9 @@ func (d *driver) serverConfig() server.Config {
 	if sc.JournalMaxBytes == 0 {
 		sc.JournalMaxBytes = 4 << 20
 	}
-	sc.Journal = !d.cfg.SnapshotOnly
 	sc.SnapshotPerStage = d.cfg.SnapshotOnly
 	if d.cfg.GroupWindow > 0 {
 		sc.JournalGroupWindow = d.cfg.GroupWindow
-		if sc.JournalGroupMax == 0 {
-			sc.JournalGroupMax = d.cfg.GroupMax
-		}
-	}
-	if d.cfg.RowDiffs {
-		sc.JournalRowDiffs = true
 	}
 	if d.cfg.Trace {
 		sc.Trace = true
@@ -511,19 +518,44 @@ func (d *driver) statusErr(resp *http.Response, want ...int) error {
 	return fmt.Errorf("status %s", resp.Status)
 }
 
-// pickSession returns a random live session ID, or "".
-func (d *driver) pickSession(rng *rand.Rand) string {
+// pickSession returns a random live session ID and its incarnation, or "".
+func (d *driver) pickSession(rng *rand.Rand) (string, int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.pool) == 0 {
-		return ""
+		return "", 0
 	}
-	return d.pool[rng.Intn(len(d.pool))]
+	id := d.pool[rng.Intn(len(d.pool))]
+	return id, d.incarnation[id]
 }
 
+// addSession puts a created or imported session in the pool. Neither is
+// durable until a stage or run is acknowledged on it.
 func (d *driver) addSession(id string) {
 	d.mu.Lock()
 	d.pool = append(d.pool, id)
+	d.renewLocked(id)
+	d.mu.Unlock()
+}
+
+// renewLocked starts a new incarnation of id, not yet durable. Callers
+// hold d.mu.
+func (d *driver) renewLocked(id string) {
+	if d.incarnation == nil {
+		d.incarnation = map[string]int{}
+		d.durable = map[string]bool{}
+	}
+	d.incarnation[id]++
+	delete(d.durable, id)
+}
+
+// markDurable records an acknowledged stage or run on the incarnation of
+// id that pickSession returned; a stale incarnation is ignored.
+func (d *driver) markDurable(id string, inc int) {
+	d.mu.Lock()
+	if d.incarnation[id] == inc {
+		d.durable[id] = true
+	}
 	d.mu.Unlock()
 }
 
@@ -539,6 +571,7 @@ func (d *driver) takeSession(rng *rand.Rand) string {
 	i := rng.Intn(len(d.pool))
 	id := d.pool[i]
 	d.pool = append(d.pool[:i], d.pool[i+1:]...)
+	d.renewLocked(id)
 	return id
 }
 
@@ -578,7 +611,7 @@ func (d *driver) opCreate(rng *rand.Rand) {
 // opPlan submits a multi-stage plan asynchronously and polls it to a
 // terminal state — the workhorse op that exercises the run engine.
 func (d *driver) opPlan(rng *rand.Rand) {
-	id := d.pickSession(rng)
+	id, inc := d.pickSession(rng)
 	if id == "" {
 		d.opCreate(rng)
 		return
@@ -599,7 +632,7 @@ func (d *driver) opPlan(rng *rand.Rand) {
 			loc = resp.Header.Get("Location")
 			// Every accepted plan must leave a complete trace behind; the
 			// response's Traceparent names it for the end-of-run check.
-			if tid, _, ok := vada.ParseTraceparent(resp.Header.Get("Traceparent")); ok {
+			if tid, _, ok := trace.ParseTraceparent(resp.Header.Get("Traceparent")); ok {
 				d.traceMu.Lock()
 				d.traceIDs = append(d.traceIDs, tid)
 				d.traceMu.Unlock()
@@ -609,17 +642,23 @@ func (d *driver) opPlan(rng *rand.Rand) {
 		resp.Body.Close()
 	}
 	if err == nil && loc != "" {
-		err = d.pollRun(loc)
+		var state string
+		state, err = d.pollRun(loc)
+		if state == "succeeded" {
+			// A run turns terminal only once its stage records are durable.
+			d.markDurable(id, inc)
+		}
 	}
 	d.observe("plan", t0, err)
 }
 
-// pollRun GETs a run resource until it is terminal.
-func (d *driver) pollRun(loc string) error {
+// pollRun GETs a run resource until it is terminal and returns the
+// terminal state ("" when the session was torn down underneath the run).
+func (d *driver) pollRun(loc string) (string, error) {
 	for i := 0; i < 600; i++ {
 		resp, err := d.http.Get(d.ts.URL + loc)
 		if err != nil {
-			return err
+			return "", err
 		}
 		var run struct {
 			State string `json:"state"`
@@ -632,25 +671,25 @@ func (d *driver) pollRun(loc string) error {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			return err
+			return "", err
 		}
 		if resp.StatusCode == http.StatusNotFound {
-			return nil // session torn down underneath the run: churn, not failure
+			return "", nil // session torn down underneath the run: churn, not failure
 		}
 		switch run.State {
 		case "succeeded", "cancelled":
-			return nil
+			return run.State, nil
 		case "failed":
-			return fmt.Errorf("run failed: %s", run.Error)
+			return run.State, fmt.Errorf("run failed: %s", run.Error)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return fmt.Errorf("run %s never reached a terminal state", loc)
+	return "", fmt.Errorf("run %s never reached a terminal state", loc)
 }
 
 // opStageSync invokes one stage synchronously through the generic route.
 func (d *driver) opStageSync(rng *rand.Rand) {
-	id := d.pickSession(rng)
+	id, inc := d.pickSession(rng)
 	if id == "" {
 		d.opCreate(rng)
 		return
@@ -665,6 +704,9 @@ func (d *driver) opStageSync(rng *rand.Rand) {
 	resp, err := d.http.Post(d.base()+"/sessions/"+id+"/stages/"+st.name, "application/json", strings.NewReader(st.body))
 	if err == nil {
 		err = d.statusErr(resp, http.StatusOK, http.StatusNotFound, http.StatusGone, http.StatusConflict)
+		if resp.StatusCode == http.StatusOK {
+			d.markDurable(id, inc)
+		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
@@ -673,7 +715,7 @@ func (d *driver) opStageSync(rng *rand.Rand) {
 
 // opRead fetches session state or a result page.
 func (d *driver) opRead(rng *rand.Rand) {
-	id := d.pickSession(rng)
+	id, _ := d.pickSession(rng)
 	if id == "" {
 		return
 	}
@@ -696,7 +738,7 @@ func (d *driver) opRead(rng *rand.Rand) {
 // verifies the resumed stream only carries later events — the fan-out and
 // resume path under load.
 func (d *driver) opSSE(rng *rand.Rand) {
-	id := d.pickSession(rng)
+	id, _ := d.pickSession(rng)
 	if id == "" {
 		return
 	}
@@ -830,7 +872,7 @@ func (d *driver) exportImport(id string) error {
 // route, then stream the relation back out through the export route and
 // drain the bytes — source and sink under load.
 func (d *driver) opConnect(rng *rand.Rand) {
-	id := d.pickSession(rng)
+	id, inc := d.pickSession(rng)
 	if id == "" {
 		d.opCreate(rng)
 		return
@@ -854,6 +896,9 @@ func (d *driver) opConnect(rng *rand.Rand) {
 		// Vanished sessions are churn, exactly as in the other ops.
 		err = d.statusErr(resp, http.StatusOK, http.StatusNotFound, http.StatusGone, http.StatusConflict)
 		ingested = resp.StatusCode == http.StatusOK
+		if ingested {
+			d.markDurable(id, inc)
+		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
@@ -874,7 +919,7 @@ func (d *driver) opConnect(rng *rand.Rand) {
 // targets the feedback-batch stage, accept it verbatim. Sessions vanishing
 // mid-loop are churn, exactly as in the other ops.
 func (d *driver) opAdvise(rng *rand.Rand) {
-	id := d.pickSession(rng)
+	id, inc := d.pickSession(rng)
 	if id == "" {
 		d.opCreate(rng)
 		return
@@ -910,6 +955,9 @@ func (d *driver) opAdvise(rng *rand.Rand) {
 					"application/json", bytes.NewReader(sg.Action.Payload))
 				if err == nil {
 					err = d.statusErr(aresp, http.StatusOK, http.StatusNotFound, http.StatusGone, http.StatusConflict)
+					if aresp.StatusCode == http.StatusOK {
+						d.markDurable(id, inc)
+					}
 					io.Copy(io.Discard, aresp.Body)
 					aresp.Body.Close()
 				}
@@ -941,13 +989,22 @@ func (d *driver) opDelete(rng *rand.Rand) {
 // recover is the kill-9/restart phase: drop the listener and abandon the
 // server without any graceful shutdown (exactly what a SIGKILL leaves
 // behind), restart over the same data directory, and verify the restored
-// sessions answer state and result reads.
+// sessions answer state and result reads. Every pool session with an
+// acknowledged stage or run must be restored; a created or imported session
+// with neither is not durable yet, and the restart may lose it.
 func (d *driver) recover(dataDir string) *Recovery {
 	rec := &Recovery{Killed: true}
 	d.mu.Lock()
 	known := append([]string(nil), d.pool...)
+	var durable []string
+	for _, id := range known {
+		if d.durable[id] {
+			durable = append(durable, id)
+		}
+	}
 	d.mu.Unlock()
 	rec.SessionsBefore = len(known)
+	rec.SessionsDurable = len(durable)
 
 	// The kill: no Server.Close, no snapshot sweep — recovery must work
 	// from whatever the journal and past snapshots already hold.
@@ -986,11 +1043,16 @@ func (d *driver) recover(dataDir string) *Recovery {
 	rec.SessionsRestored = len(restored)
 
 	rec.Verified = true
+	for _, id := range durable {
+		if !restored[id] {
+			rec.Errors++
+			rec.Verified = false
+		}
+	}
 	for _, id := range known {
 		if !restored[id] {
-			// A session deleted by churn right before the kill is
-			// legitimately absent; only sessions the server claims to have
-			// restored are verified below.
+			// Durable sessions were checked above; this one had no
+			// acknowledged stage or run yet, and its loss is known.
 			continue
 		}
 		for _, p := range []struct {
@@ -1024,14 +1086,16 @@ func (d *driver) recover(dataDir string) *Recovery {
 	d.pool = d.pool[:0]
 	for id := range restored {
 		d.pool = append(d.pool, id)
+		d.renewLocked(id)
+		d.durable[id] = true // restored from disk
 	}
 	d.mu.Unlock()
 	return rec
 }
 
 // metricz fetches the hosted server's metrics snapshot.
-func (d *driver) metricz() (vada.MetricsSnapshot, error) {
-	var snap vada.MetricsSnapshot
+func (d *driver) metricz() (metrics.Snapshot, error) {
+	var snap metrics.Snapshot
 	resp, err := d.http.Get(d.base() + "/metricz")
 	if err != nil {
 		return snap, err
@@ -1045,7 +1109,7 @@ func (d *driver) metricz() (vada.MetricsSnapshot, error) {
 
 // report assembles the BENCH document from the client registry and the
 // server-side counter delta.
-func (d *driver) report(start time.Time, before, after vada.MetricsSnapshot, rec *Recovery) *Report {
+func (d *driver) report(start time.Time, before, after metrics.Snapshot, rec *Recovery) *Report {
 	elapsed := time.Since(start).Seconds()
 	snap := d.client.Snapshot()
 	r := &Report{
@@ -1075,7 +1139,7 @@ func (d *driver) report(start time.Time, before, after vada.MetricsSnapshot, rec
 	}
 	r.Totals.ThroughputPerS = float64(r.Totals.Count) / elapsed
 
-	r.ServerDelta = vada.MetricsCounterDelta(before, after)
+	r.ServerDelta = metrics.CounterDelta(before, after)
 	for name, v := range r.ServerDelta {
 		if strings.HasPrefix(name, "runs_completed_total") {
 			r.RunsCompleted += v

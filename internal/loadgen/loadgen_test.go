@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -209,5 +210,39 @@ func TestDeterministicSeed(t *testing.T) {
 	}
 	if len(a) == 0 || len(b) == 0 {
 		t.Fatalf("empty op sets: %v / %v", a, b)
+	}
+}
+
+// TestReportTotalsKeys pins the "totals" section of the BENCH schema:
+// count, errors and throughput only. Latency quantiles belong to the per-op
+// sections; a roll-up of them would have to be computed, not summed.
+func TestReportTotalsKeys(t *testing.T) {
+	d := &driver{cfg: Preset("smoke"), client: metrics.NewRegistry()}
+	for _, op := range []string{"create", "plan"} {
+		d.client.Counter(metrics.Name("ops_total", "op", op)).Add(3)
+		d.client.Histogram(metrics.Name("op_seconds", "op", op), nil).Observe(0.01)
+	}
+	d.client.Counter(metrics.Name("op_errors_total", "op", "plan")).Inc()
+	rep := d.report(time.Now().Add(-time.Second), metrics.Snapshot{}, metrics.Snapshot{}, nil)
+	if rep.Totals.Count != 6 || rep.Totals.Errors != 1 || rep.Totals.ThroughputPerS <= 0 {
+		t.Fatalf("totals = %+v, want count 6, errors 1, throughput > 0", rep.Totals)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Totals map[string]any `json:"totals"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range doc.Totals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "count,errors,throughput_per_s"; got != want {
+		t.Fatalf("totals keys = %s, want %s", got, want)
 	}
 }

@@ -20,13 +20,8 @@
 //	DELETE /api/v1/sessions/{id}                 close the session (cancels its runs)
 //	POST   /api/v1/sessions/{id}/stages/{name}   invoke any registered stage (body = JSON payload)
 //	POST   /api/v1/sessions/{id}/plans           run an ordered stage plan as one run (always async)
-//	POST   /api/v1/sessions/{id}/bootstrap       legacy alias of stages/bootstrap
-//	POST   /api/v1/sessions/{id}/datacontext     legacy alias of stages/data-context
-//	POST   /api/v1/sessions/{id}/feedback        legacy alias of stages/feedback (?budget=N or JSON items)
-//	POST   /api/v1/sessions/{id}/usercontext     legacy alias of stages/user-context (?model=crime|size)
 //	GET    /api/v1/sessions/{id}/result          result rows (?limit=&offset=, paginated)
 //	GET    /api/v1/sessions/{id}/trace           orchestration trace (text)
-//	GET    /api/v1/sessions/{id}/state           session state (alias)
 //	GET    /api/v1/sessions/{id}/runs            list the session's async runs
 //	GET    /api/v1/sessions/{id}/runs/{rid}      poll one run
 //	DELETE /api/v1/sessions/{id}/runs/{rid}      cancel a queued or in-flight run
@@ -42,23 +37,27 @@
 // plans, and the relation export route streams any knowledge-base relation
 // — or the clean result — back out in canonical, byte-stable order.
 //
-// With -data-dir the service is durable, and with -journal (the default)
-// durability is incremental: each session keeps an append-only
-// <data-dir>/<id>.vjournal beside its <data-dir>/<id>.vsnap, and a
-// completed stage or run appends one CRC-framed, fsynced record carrying
-// only the mutation delta — O(delta) bytes instead of rewriting the whole
-// snapshot envelope. When the journal crosses -journal-max-records or
+// With -data-dir the service is durable through an incremental journal:
+// each session keeps an append-only <data-dir>/<id>.vjournal beside its
+// <data-dir>/<id>.vsnap, and a completed stage or run appends one
+// CRC-framed, fsynced record carrying only the mutation delta — relation
+// replacements as row-level diffs where they provably reproduce the new
+// relation, wholesale otherwise — instead of rewriting the whole snapshot
+// envelope. With -journal-group-window, appends landing within the window
+// share one fsync. When the journal crosses -journal-max-records or
 // -journal-max-bytes (and on evict and graceful shutdown) it is compacted:
 // folded into a fresh full snapshot and truncated. Boot recovery composes
 // the last snapshot with the journal's valid prefix; a record torn by
-// kill -9 mid-append is truncated, never fatal. With -journal=false the
-// PR-4 behaviour remains: a full snapshot per completed run.
+// kill -9 mid-append is truncated, never fatal.
 //
-// Either way, every persisted session is restored at boot — event history,
-// result and terminal run resources included — so a server killed outright
-// (kill -9) loses at most the work since the last completed stage, and a
-// restarted server answers GET .../result and GET .../runs/{rid} for
-// pre-restart sessions identically.
+// Every persisted session is restored at boot — event history, result and
+// terminal run resources included — so a server killed outright (kill -9)
+// loses at most the work since the last completed stage, and a restarted
+// server answers GET .../result and GET .../runs/{rid} for pre-restart
+// sessions identically. The snapshot under a new journal is written when
+// the session's first record is acknowledged, so a created or imported
+// session that has completed no stage or run yet is lost by a kill -9
+// (evict and graceful shutdown persist it).
 //
 // DELETE /api/v1/sessions/{id} garbage-collects the session's durable
 // state: its snapshot is archived under <data-dir>/closed/ and the live
@@ -72,9 +71,7 @@
 // Stages are registry-driven: the four paper stages are pre-registered and
 // any stage added to the server's registry is immediately invocable through
 // the generic stages/{name} route, listable via stage discovery, and usable
-// in plans — no per-stage handler exists any more; the legacy per-stage
-// routes are thin aliases that translate their old wire formats onto the
-// same path.
+// in plans — no per-stage handler exists.
 //
 // Every stage POST accepts ?async=1: instead of blocking until the stage
 // quiesces, the server enqueues it on the run engine and answers
@@ -100,7 +97,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"mime"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -111,7 +107,18 @@ import (
 	"sync"
 	"time"
 
-	"vada"
+	"vada/internal/advise"
+	"vada/internal/connect"
+	"vada/internal/core"
+	"vada/internal/datagen"
+	"vada/internal/journal"
+	"vada/internal/metrics"
+	"vada/internal/persist"
+	"vada/internal/relation"
+	"vada/internal/runs"
+	"vada/internal/session"
+	"vada/internal/trace"
+	"vada/internal/transducer"
 )
 
 // maxResultPageSize bounds one result page; larger limits are clamped.
@@ -137,10 +144,10 @@ const closedDirName = "closed"
 // engine, the per-session scenario defaults and the durability wiring.
 // Build one with New; serve Handler(); stop with Close.
 type Server struct {
-	registry    *vada.StageRegistry
-	mgr         *vada.SessionManager
-	runs        *vada.RunEngine
-	metrics     *vada.MetricsRegistry
+	registry    *session.Registry
+	mgr         *session.Manager
+	runs        *runs.Engine
+	metrics     *metrics.Registry
 	defaultN    int
 	defaultSeed int64
 	maxN        int
@@ -150,7 +157,7 @@ type Server struct {
 	// span operation is nil-safe, so handlers never branch on it). logger is
 	// the structured request/operational logger; pprof gates the
 	// /debug/pprof/ routes; stopSampler stops the runtime-gauge sampler.
-	tracer      *vada.Tracer
+	tracer      *trace.Tracer
 	logger      *slog.Logger
 	pprof       bool
 	stopSampler func()
@@ -181,20 +188,19 @@ type Server struct {
 	persistMu      sync.Mutex
 	lastSnapshotAt time.Time
 
-	// journal configuration: with journaling on, completed stages and runs
-	// append O(delta) records to per-session .vjournal files instead of
-	// rewriting the snapshot, and the journal is folded back into a fresh
-	// snapshot at the compaction thresholds.
-	journal           bool
+	// journal configuration: completed stages and runs append O(delta)
+	// records to per-session .vjournal files instead of rewriting the
+	// snapshot, and the journal is folded back into a fresh snapshot at the
+	// compaction thresholds. snapshotPerStage replaces the journal with the
+	// full-snapshot-per-stage baseline.
 	journalMaxRecords int
 	journalMaxBytes   int64
-	journalRowDiffs   bool
 	snapshotPerStage  bool
 	restoreClosed     bool
 
 	// committer is the shared group-commit coordinator batching journal
 	// fsyncs across sessions (nil = direct per-append fsync).
-	committer *vada.GroupCommitter
+	committer *journal.GroupCommitter
 
 	// recorders maps live session IDs to their journal recorders; deleting
 	// refcounts sessions being explicitly DELETEd so the evict hook
@@ -203,7 +209,7 @@ type Server struct {
 	// tombstones IDs whose files gcSession removed, so a persist already in
 	// flight cannot resurrect them (cleared when the ID is re-registered).
 	recMu     sync.Mutex
-	recorders map[string]*vada.JournalRecorder
+	recorders map[string]*journal.Recorder
 	delMu     sync.Mutex
 	deleting  map[string]int
 	gone      map[string]bool
@@ -219,9 +225,6 @@ type Config struct {
 	Seed    int64
 	// MaxSessions caps live sessions (0 = unlimited).
 	MaxSessions int
-	// SessionShards sets the session store's stripe count (0 = default);
-	// more shards spread lock contention under many concurrent sessions.
-	SessionShards int
 	// RunWorkers, RunQueue and RunSessionQueue size the async run engine.
 	RunWorkers      int
 	RunQueue        int
@@ -229,30 +232,24 @@ type Config struct {
 	// SSEKeepAlive and SSEWriteTimeout harden the event stream.
 	SSEKeepAlive    time.Duration
 	SSEWriteTimeout time.Duration
-	// DataDir enables durability ("" = ephemeral).
+	// DataDir enables durability ("" = ephemeral): every session keeps an
+	// incremental append-only journal over its snapshot, unless
+	// SnapshotPerStage selects the baseline.
 	DataDir string
 
-	// Journal switches durability to the incremental append-only journal;
-	// JournalMaxRecords/JournalMaxBytes are its compaction thresholds.
-	Journal           bool
+	// JournalMaxRecords/JournalMaxBytes are the journal's compaction
+	// thresholds.
 	JournalMaxRecords int
 	JournalMaxBytes   int64
 	// JournalGroupWindow enables group commit: journal appends landing
 	// within the window share one fsync instead of paying one each (0 =
-	// every append fsyncs directly). JournalGroupMax caps how many appends
-	// one batch may absorb (0 = default).
+	// every append fsyncs directly).
 	JournalGroupWindow time.Duration
-	JournalGroupMax    int
-	// JournalRowDiffs captures relation replacements as row-level diffs —
-	// added/removed tuples — instead of wholesale relation clones, shrinking
-	// stage records for feedback-style workloads that touch few rows.
-	JournalRowDiffs bool
-	// SnapshotPerStage, with the journal off, persists the session's full
-	// snapshot envelope after every completed stage — the journal's
-	// per-stage durability point at wholesale cost. It is the baseline
-	// configuration the load benchmark's regression gate measures the
-	// journal + group-commit + row-diff stack against; ignored when
-	// Journal is on.
+	// SnapshotPerStage replaces the journal with a full snapshot envelope
+	// persisted after every completed stage — the journal's per-stage
+	// durability point at wholesale cost. It is the baseline configuration
+	// the load benchmark's regression gate measures the journal +
+	// group-commit stack against.
 	SnapshotPerStage bool
 	// RestoreClosed restores explicitly DELETEd archived sessions at boot.
 	RestoreClosed bool
@@ -261,21 +258,16 @@ type Config struct {
 	// request carrying an inbound W3C traceparent) produces a span tree —
 	// HTTP root → run → queue-wait / per-stage → journal append —
 	// retrievable via GET /api/v1/traces. TraceCapacity bounds retained
-	// traces and TraceMaxSpans the spans kept per trace (0 = defaults);
-	// TraceSlowThreshold logs any span at or over it as a structured
-	// warning (0 = off).
+	// traces (0 = default); TraceSlowThreshold logs any span at or over it
+	// as a structured warning (0 = off).
 	Trace              bool
 	TraceCapacity      int
-	TraceMaxSpans      int
 	TraceSlowThreshold time.Duration
 	// Pprof registers net/http/pprof under /debug/pprof/.
 	Pprof bool
 	// Logger is the structured logger for request lines and operational
 	// events (nil = slog.Default()).
 	Logger *slog.Logger
-	// RuntimeSampleEvery is the interval of the runtime gauge sampler
-	// feeding goroutine/heap/GC gauges into metricz (0 = its default).
-	RuntimeSampleEvery time.Duration
 }
 
 // New wires registry, run engine, session manager and — when a data
@@ -284,8 +276,8 @@ type Config struct {
 // Close.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		registry:          vada.DefaultStageRegistry(),
-		metrics:           vada.NewMetricsRegistry(),
+		registry:          session.DefaultRegistry(),
+		metrics:           metrics.NewRegistry(),
 		defaultN:          cfg.N,
 		defaultSeed:       cfg.Seed,
 		maxN:              cfg.MaxN,
@@ -293,15 +285,13 @@ func New(cfg Config) (*Server, error) {
 		sseKeepAlive:      cfg.SSEKeepAlive,
 		sseWriteTimeout:   cfg.SSEWriteTimeout,
 		dataDir:           cfg.DataDir,
-		journal:           cfg.Journal,
 		journalMaxRecords: cfg.JournalMaxRecords,
 		journalMaxBytes:   cfg.JournalMaxBytes,
-		journalRowDiffs:   cfg.JournalRowDiffs,
 		snapshotPerStage:  cfg.SnapshotPerStage,
 		restoreClosed:     cfg.RestoreClosed,
 		pprof:             cfg.Pprof,
 		logger:            cfg.Logger,
-		recorders:         map[string]*vada.JournalRecorder{},
+		recorders:         map[string]*journal.Recorder{},
 		deleting:          map[string]int{},
 		gone:              map[string]bool{},
 	}
@@ -309,27 +299,26 @@ func New(cfg Config) (*Server, error) {
 		s.logger = slog.Default()
 	}
 	if cfg.Trace {
-		s.tracer = vada.NewTracer(
-			vada.NewTraceStore(cfg.TraceCapacity, cfg.TraceMaxSpans),
-			vada.WithTraceSlowSpans(cfg.TraceSlowThreshold),
-			vada.WithTraceLogger(s.logger),
+		s.tracer = trace.NewTracer(
+			trace.NewStore(cfg.TraceCapacity, trace.DefaultMaxSpans),
+			trace.WithSlowThreshold(cfg.TraceSlowThreshold),
+			trace.WithLogger(s.logger),
 		)
 	}
-	s.stopSampler = vada.StartRuntimeSampler(s.metrics, cfg.RuntimeSampleEvery)
-	s.runs = vada.NewRunEngine(
-		vada.WithRunWorkers(cfg.RunWorkers),
-		vada.WithRunQueueDepth(cfg.RunQueue),
-		vada.WithRunSessionQueue(cfg.RunSessionQueue),
-		vada.WithRunNotify(s.publishTransition),
-		vada.WithRunMetrics(s.metrics),
+	s.stopSampler = metrics.StartRuntimeSampler(s.metrics, 0)
+	s.runs = runs.New(
+		runs.WithWorkers(cfg.RunWorkers),
+		runs.WithQueueDepth(cfg.RunQueue),
+		runs.WithSessionQueue(cfg.RunSessionQueue),
+		runs.WithNotify(s.publishTransition),
+		runs.WithMetrics(s.metrics),
 	)
-	s.mgr = vada.NewSessionManager(
-		vada.WithMaxSessions(cfg.MaxSessions),
-		vada.WithSessionShards(cfg.SessionShards),
-		vada.WithManagerMetrics(s.metrics),
+	s.mgr = session.NewManager(
+		session.WithMaxSessions(cfg.MaxSessions),
+		session.WithManagerMetrics(s.metrics),
 		// Stop hook: interrupt outstanding work the moment the session is
 		// marked closed, so the manager's quiesce wait is short.
-		vada.WithStopHook(func(sess *vada.Session) {
+		session.WithStopHook(func(sess *session.Session) {
 			if n := s.runs.CancelSession(sess.ID()); n > 0 {
 				s.logger.Info("session closing", "session", sess.ID(), "runs_cancelled", n)
 			}
@@ -339,7 +328,7 @@ func New(cfg Config) (*Server, error) {
 		// Explicit DELETEs garbage-collect instead of persisting; evicted
 		// journaled sessions compact (snapshot + truncated journal) so a
 		// restart replays nothing.
-		vada.WithEvictHook(func(sess *vada.Session) {
+		session.WithEvictHook(func(sess *session.Session) {
 			id := sess.ID()
 			if s.dataDir != "" {
 				s.runs.WaitSession(id)
@@ -363,7 +352,7 @@ func New(cfg Config) (*Server, error) {
 	// The committer must exist before restoreAll: recovered sessions adopt
 	// their journals during restore and wire into the same batch stream.
 	if s.journalOn() && cfg.JournalGroupWindow > 0 {
-		s.committer = vada.NewGroupCommitter(cfg.JournalGroupWindow, cfg.JournalGroupMax, s.metrics)
+		s.committer = journal.NewGroupCommitter(cfg.JournalGroupWindow, journal.DefaultGroupMax, s.metrics)
 	}
 	if s.dataDir != "" {
 		if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
@@ -381,32 +370,35 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// journalOn reports whether incremental durability is active.
-func (s *Server) journalOn() bool { return s.dataDir != "" && s.journal }
+// journalOn reports whether incremental durability is active: always with
+// a data dir, except in the snapshot-per-stage baseline.
+func (s *Server) journalOn() bool { return s.dataDir != "" && !s.snapshotPerStage }
 
 // sessionOpts are the options every session — created, imported or
-// restored — gets: the shared stage registry and, with journaling on, the
-// stage hook that appends each completed stage's mutation record.
-func (s *Server) sessionOpts() []vada.SessionOption {
-	opts := []vada.SessionOption{
-		vada.WithStageRegistry(s.registry),
-		vada.WithSessionMetrics(s.metrics),
+// restored — gets: the shared stage registry and, with a data dir, the
+// stage hook that makes each completed stage durable (a journal record, or
+// a full snapshot in the baseline mode).
+func (s *Server) sessionOpts() []session.Option {
+	opts := []session.Option{
+		session.WithRegistry(s.registry),
+		session.WithMetrics(s.metrics),
 	}
 	if s.journalOn() {
-		opts = append(opts, vada.WithStageCommitHook(s.journalStage))
-	} else if s.snapshotPerStage && s.dataDir != "" {
-		opts = append(opts, vada.WithStageCommitHook(s.snapshotStage))
+		opts = append(opts, session.WithStageCommitHook(s.journalStage))
+	} else if s.dataDir != "" {
+		opts = append(opts, session.WithStageCommitHook(s.snapshotStage))
 	}
 	return opts
 }
 
-// snapshotStage is the snapshot-per-stage commit hook (journal off): the
-// returned wait — invoked by Step after the run mutex is released — writes
-// the session's full snapshot envelope, giving every acknowledged stage the
-// journal's durability point at wholesale cost. It exists as the honest
+// snapshotStage is the commit hook of the SnapshotPerStage baseline, which
+// replaces the journal: the returned wait — invoked by Step after the run
+// mutex is released — writes the session's full snapshot envelope, giving
+// every acknowledged stage the journal's durability point at wholesale
+// cost. It exists as the honest
 // equal-durability baseline the load benchmark's regression gate measures
 // the journal stack against.
-func (s *Server) snapshotStage(ctx context.Context, sess *vada.Session, ev vada.SessionEvent) func() {
+func (s *Server) snapshotStage(ctx context.Context, sess *session.Session, ev session.Event) func() {
 	return func() {
 		if err := s.persistSession(sess); err != nil {
 			s.logger.Error("persisting stage snapshot", "stage", ev.Stage, "session", sess.ID(), "error", err)
@@ -423,7 +415,7 @@ func (s *Server) snapshotStage(ctx context.Context, sess *vada.Session, ev vada.
 // stage's trace span, making the append a `journal.append` child of it. An
 // append failure is logged, not fatal — the compaction and evict snapshots
 // backstop it.
-func (s *Server) journalStage(ctx context.Context, sess *vada.Session, ev vada.SessionEvent) func() {
+func (s *Server) journalStage(ctx context.Context, sess *session.Session, ev session.Event) func() {
 	rec := s.recorder(sess.ID())
 	if rec == nil {
 		return nil
@@ -452,7 +444,7 @@ func (s *Server) journalStage(ctx context.Context, sess *vada.Session, ev vada.S
 }
 
 // recorder returns the session's journal recorder, or nil.
-func (s *Server) recorder(id string) *vada.JournalRecorder {
+func (s *Server) recorder(id string) *journal.Recorder {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
 	return s.recorders[id]
@@ -484,16 +476,16 @@ func (s *Server) dropRecorder(id string) {
 // the session will NOT become durable; callers that are about to destroy
 // another durable copy (the archive-restore path) must write a snapshot
 // themselves first.
-func (s *Server) startJournal(sess *vada.Session) error {
+func (s *Server) startJournal(sess *session.Session) error {
 	if !s.journalOn() || !safeSnapshotID(sess.ID()) {
 		return nil
 	}
 	var baseline bytes.Buffer
-	if err := vada.ExportSession(&baseline, sess, s.runs); err != nil {
+	if err := persist.ExportSession(&baseline, sess, s.runs); err != nil {
 		s.logger.Error("capturing baseline snapshot", "session", sess.ID(), "error", err)
 		return err
 	}
-	w, recovered, err := vada.OpenJournal(filepath.Join(s.dataDir, sess.ID()+journalExt))
+	w, recovered, err := journal.Open(filepath.Join(s.dataDir, sess.ID()+journalExt))
 	if err != nil {
 		s.logger.Error("opening journal", "session", sess.ID(), "error", err)
 		return err
@@ -508,24 +500,21 @@ func (s *Server) startJournal(sess *vada.Session) error {
 	id := sess.ID()
 	data := baseline.Bytes()
 	s.adoptJournal(sess, w, nil,
-		vada.WithJournalBaseline(func() error { return s.persistSnapshotBytes(id, data) }))
+		journal.WithBaseline(func() error { return s.persistSnapshotBytes(id, data) }))
 	return nil
 }
 
 // adoptJournal registers a recorder over an open journal writer, closing
 // any recorder a superseded session left under the same ID.
-func (s *Server) adoptJournal(sess *vada.Session, w *vada.JournalWriter, knownRuns []vada.Run, opts ...vada.JournalRecorderOption) {
+func (s *Server) adoptJournal(sess *session.Session, w *journal.Writer, knownRuns []runs.Run, opts ...journal.RecorderOption) {
 	w.SetMetrics(s.metrics)
 	if s.committer != nil {
 		w.SetGroupCommit(s.committer)
 	}
-	if s.journalRowDiffs {
-		opts = append(opts, vada.WithJournalRowDiffs())
-	}
-	rec := vada.NewJournalRecorder(w, sess, knownRuns, opts...)
+	rec := journal.NewRecorder(w, sess, knownRuns, opts...)
 	s.recMu.Lock()
 	if s.recorders == nil {
-		s.recorders = map[string]*vada.JournalRecorder{}
+		s.recorders = map[string]*journal.Recorder{}
 	}
 	old := s.recorders[sess.ID()]
 	s.recorders[sess.ID()] = rec
@@ -595,7 +584,7 @@ func (s *Server) isGone(id string) bool {
 // state is archived under <data-dir>/closed/ and the live .vsnap/.vjournal
 // pair is removed, so the session no longer resurrects on boot (unless the
 // server opts back in with -restore-closed).
-func (s *Server) gcSession(sess *vada.Session) {
+func (s *Server) gcSession(sess *session.Session) {
 	id := sess.ID()
 	// Supersession guard: the teardown runs after Manager.Close removed the
 	// ID from the map, so an import can have registered a NEW session under
@@ -622,7 +611,7 @@ func (s *Server) gcSession(sess *vada.Session) {
 		return
 	}
 	defer os.Remove(tmp.Name())
-	err = vada.ExportSession(tmp, sess, s.runs)
+	err = persist.ExportSession(tmp, sess, s.runs)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -720,8 +709,8 @@ func drainHints(ch <-chan string, first string) []string {
 
 // persistHinted makes one session's recent run completions durable: with a
 // journal, append run records for the not-yet-journaled terminal runs and
-// compact if the journal crossed its thresholds; without one, write the
-// full snapshot (the -journal=false path).
+// compact if the journal crossed its thresholds; without one (the
+// SnapshotPerStage baseline), write the full snapshot.
 func (s *Server) persistHinted(id string) {
 	sess, err := s.mgr.Get(id)
 	if err != nil {
@@ -751,7 +740,7 @@ func (s *Server) persistHinted(id string) {
 // persistSession atomically writes one session's snapshot envelope to
 // <data-dir>/<id>.vsnap (write to a temp file, fsync, rename). Writers are
 // serialised, so a later capture always lands later on disk.
-func (s *Server) persistSession(sess *vada.Session) error {
+func (s *Server) persistSession(sess *session.Session) error {
 	if s.dataDir == "" {
 		return nil
 	}
@@ -768,7 +757,7 @@ func (s *Server) persistSession(sess *vada.Session) error {
 		return fmt.Errorf("session ID %q is not filesystem-safe", id)
 	}
 	return s.writeSnapshotLocked(id, func(tmp *os.File) error {
-		return vada.ExportSession(tmp, sess, s.runs)
+		return persist.ExportSession(tmp, sess, s.runs)
 	})
 }
 
@@ -811,8 +800,8 @@ func (s *Server) writeSnapshotLocked(id string, fill func(*os.File) error) error
 		tmp.Close()
 		return err
 	}
-	s.metrics.Counter(vada.MetricName("persist_fsync_total", "path", "snapshot")).Inc()
-	s.metrics.Histogram(vada.MetricName("persist_fsync_seconds", "path", "snapshot"), nil).ObserveSince(t0)
+	s.metrics.Counter(metrics.Name("persist_fsync_total", "path", "snapshot")).Inc()
+	s.metrics.Histogram(metrics.Name("persist_fsync_seconds", "path", "snapshot"), nil).ObserveSince(t0)
 	if info, err := tmp.Stat(); err == nil {
 		s.metrics.Counter("persist_snapshot_bytes_total").Add(info.Size())
 	}
@@ -886,7 +875,7 @@ func (s *Server) restoreOne(dir, name string, adoptJournal bool) bool {
 		s.logger.Error("opening snapshot", "file", name, "error", err)
 		return false
 	}
-	snap, err := vada.ReadSessionSnapshot(f)
+	snap, err := persist.ReadSessionSnapshot(f)
 	f.Close()
 	if err != nil {
 		s.logger.Warn("skipping snapshot", "file", name, "error", err)
@@ -899,18 +888,18 @@ func (s *Server) restoreOne(dir, name string, adoptJournal bool) bool {
 	jpath := filepath.Join(dir, jname)
 	replayed := 0
 	if data, err := os.ReadFile(jpath); err == nil {
-		res, jerr := vada.ReplayJournal(bytes.NewReader(data))
+		res, jerr := journal.Replay(bytes.NewReader(data))
 		if jerr != nil {
 			s.logger.Warn("skipping journal", "file", jname, "error", jerr)
 		} else {
-			snap = vada.ComposeJournal(snap, res.Records)
+			snap = journal.Compose(snap, res.Records)
 			replayed = len(res.Records)
 			if res.Damaged {
 				s.logger.Warn("journal had a damaged tail", "file", jname, "recovered_records", replayed)
 			}
 		}
 	}
-	sess, err := vada.RestoreSessionInto(s.mgr, s.runs, snap, s.sessionOpts()...)
+	sess, err := persist.RestoreInto(s.mgr, s.runs, snap, s.sessionOpts()...)
 	if err != nil {
 		s.logger.Error("restoring snapshot", "file", name, "error", err)
 		return false
@@ -918,7 +907,7 @@ func (s *Server) restoreOne(dir, name string, adoptJournal bool) bool {
 	if adoptJournal && s.journalOn() && safeSnapshotID(sess.ID()) {
 		// Re-open for appending (truncating any damaged tail on disk); the
 		// recovered records are already composed into the live session.
-		w, _, err := vada.OpenJournal(filepath.Join(s.dataDir, sess.ID()+journalExt))
+		w, _, err := journal.Open(filepath.Join(s.dataDir, sess.ID()+journalExt))
 		if err != nil {
 			s.logger.Error("opening journal", "session", sess.ID(), "error", err)
 		} else {
@@ -1010,14 +999,9 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /api/v1/sessions", s.handleCreate)
 	mux.HandleFunc("GET /api/v1/sessions", s.handleList)
 	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleState)
-	mux.HandleFunc("GET /api/v1/sessions/{id}/state", s.handleState)
 	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleClose)
 	mux.HandleFunc("POST /api/v1/sessions/{id}/stages/{name}", s.handleStage)
 	mux.HandleFunc("POST /api/v1/sessions/{id}/plans", s.handlePlan)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/bootstrap", s.handleBootstrap)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/datacontext", s.handleDataContext)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/feedback", s.handleFeedback)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/usercontext", s.handleUserContext)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/suggestions", s.handleSuggestions)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/trace", s.handleTrace)
@@ -1046,7 +1030,7 @@ func (s *Server) routes() *http.ServeMux {
 // schedule a durability snapshot: the hook runs under the engine lock, so
 // the write itself happens on the persister goroutine. A full channel
 // drops the hint — the close/evict/shutdown snapshots are the backstop.
-func (s *Server) publishTransition(run vada.Run) {
+func (s *Server) publishTransition(run runs.Run) {
 	if sess, err := s.mgr.Get(run.SessionID); err == nil {
 		sess.PublishTransition(run.Transition())
 	}
@@ -1094,16 +1078,16 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 	// Cheap pre-check so a full server rejects before scenario generation;
 	// Create remains the authoritative (race-free) gate.
 	if s.mgr.AtCap() {
-		writeError(rw, vada.ErrSessionLimit)
+		writeError(rw, session.ErrLimit)
 		return
 	}
-	var w *vada.Wrangler
-	opts := []vada.SessionOption{vada.WithSessionName(req.Name)}
+	var w *core.Wrangler
+	opts := []session.Option{session.WithName(req.Name)}
 	if req.Blank {
-		w = vada.New()
-		target := vada.TargetSchema()
+		w = core.NewWrangler()
+		target := datagen.TargetSchema()
 		if len(req.Target) > 0 {
-			t, err := vada.ParseSchema(target.Name, req.Target...)
+			t, err := relation.ParseSchema(target.Name, req.Target...)
 			if err != nil {
 				http.Error(rw, "bad target schema: "+err.Error(), http.StatusBadRequest)
 				return
@@ -1112,12 +1096,12 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 		}
 		w.SetTargetSchema(target)
 	} else {
-		cfg := vada.DefaultScenarioConfig()
+		cfg := datagen.DefaultConfig()
 		cfg.NProperties = req.N
 		cfg.Seed = req.Seed
-		sc := vada.GenerateScenario(cfg)
-		w = vada.BuildScenarioWrangler(sc)
-		opts = append(opts, vada.WithScenario(sc, req.Seed))
+		sc := datagen.Generate(cfg)
+		w = core.BuildScenarioWrangler(sc)
+		opts = append(opts, session.WithScenario(sc, req.Seed))
 	}
 	sess, err := s.mgr.Create(w, append(opts, s.sessionOpts()...)...)
 	if err != nil {
@@ -1131,7 +1115,7 @@ func (s *Server) handleCreate(rw http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(rw http.ResponseWriter, _ *http.Request) {
 	sessions := s.mgr.List()
-	states := make([]vada.SessionState, len(sessions))
+	states := make([]session.State, len(sessions))
 	for i, sess := range sessions {
 		states[i] = sess.State()
 	}
@@ -1182,34 +1166,29 @@ func (s *Server) handleStages(rw http.ResponseWriter, _ *http.Request) {
 // handleStage is the uniform stage route: any registered stage is invoked
 // as POST .../stages/{name} with the stage's JSON payload as the body.
 // Adding a stage to the registry extends the HTTP surface with no new
-// handler.
+// handler. The stage runs either synchronously (block until quiescence,
+// answer the stage event) or, with ?async=1, as a run resource: enqueue on
+// the engine and answer 202 Accepted with the run snapshot and its
+// Location to poll. The stage and payload are resolved against the
+// registry before anything runs, so unknown stages and undecodable
+// payloads are a 400 on both paths.
 func (s *Server) handleStage(rw http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(rw, err)
 		return
 	}
-	payload, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
 	if err != nil {
 		writeBodyError(rw, err)
 		return
 	}
-	s.dispatchStage(rw, r, sess, vada.StageRequest{Stage: r.PathValue("name"), Payload: payload})
-}
-
-// dispatchStage resolves and applies one stage request, either
-// synchronously (block until quiescence, answer the stage event) or, with
-// ?async=1, as a run resource: enqueue on the engine and answer
-// 202 Accepted with the run snapshot and its Location to poll. The stage
-// and payload are resolved against the registry before anything runs, so
-// unknown stages and undecodable payloads are a 400 on both paths.
-func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *vada.Session, req vada.StageRequest) {
-	st, payload, err := s.registry.Resolve(req)
+	st, payload, err := s.registry.Resolve(session.StageRequest{Stage: r.PathValue("name"), Payload: body})
 	if err != nil {
 		writeError(rw, err)
 		return
 	}
-	fn := func(ctx context.Context) (vada.SessionEvent, error) {
+	fn := func(ctx context.Context) (session.Event, error) {
 		return st.Apply(ctx, sess, payload)
 	}
 	if !asyncRequested(r) {
@@ -1226,7 +1205,7 @@ func (s *Server) dispatchStage(rw http.ResponseWriter, r *http.Request, sess *va
 }
 
 // writeRunAccepted answers 202 with the run snapshot and its poll URL.
-func (s *Server) writeRunAccepted(rw http.ResponseWriter, sessionID string, run vada.Run) {
+func (s *Server) writeRunAccepted(rw http.ResponseWriter, sessionID string, run runs.Run) {
 	rw.Header().Set("Location", fmt.Sprintf("/api/v1/sessions/%s/runs/%s", sessionID, run.ID))
 	writeJSONStatus(rw, http.StatusAccepted, run)
 }
@@ -1242,7 +1221,7 @@ func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, err)
 		return
 	}
-	var plan vada.Plan
+	var plan session.Plan
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
 	// Strict, like the stage payload codecs: a misspelled "payload" key
 	// must be a 400, not a silently-defaulted stage run.
@@ -1263,59 +1242,6 @@ func (s *Server) handlePlan(rw http.ResponseWriter, r *http.Request) {
 	s.writeRunAccepted(rw, sess.ID(), run)
 }
 
-// The legacy per-stage routes are thin aliases: each translates its old
-// wire format (query parameters, bare JSON bodies) into a StageRequest and
-// funnels through the same registry dispatch as stages/{name}.
-
-func (s *Server) stageAlias(rw http.ResponseWriter, r *http.Request, req vada.StageRequest) {
-	sess, err := s.mgr.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(rw, err)
-		return
-	}
-	s.dispatchStage(rw, r, sess, req)
-}
-
-func (s *Server) handleBootstrap(rw http.ResponseWriter, r *http.Request) {
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageBootstrap})
-}
-
-func (s *Server) handleDataContext(rw http.ResponseWriter, r *http.Request) {
-	// Empty payload: the session defaults to its scenario's reference data.
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageDataContext})
-}
-
-func (s *Server) handleFeedback(rw http.ResponseWriter, r *http.Request) {
-	payload := map[string]any{"budget": intQuery(r, "budget", 100)}
-	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/json" {
-		body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxPayloadBytes))
-		if err != nil {
-			writeBodyError(rw, err)
-			return
-		}
-		// The legacy route decoded item bodies leniently (unknown fields
-		// ignored); keep those semantics on the alias by normalising here
-		// and handing the strict stage codec only canonical fields.
-		var items []vada.FeedbackItem
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&items); err != nil {
-			http.Error(rw, "bad feedback JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		payload["items"] = items
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		http.Error(rw, "bad feedback JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageFeedback, Payload: raw})
-}
-
-func (s *Server) handleUserContext(rw http.ResponseWriter, r *http.Request) {
-	raw, _ := json.Marshal(map[string]string{"model": r.URL.Query().Get("model")})
-	s.stageAlias(rw, r, vada.StageRequest{Stage: vada.StageUserContext, Payload: raw})
-}
-
 func (s *Server) handleRunList(rw http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	list := s.runs.List(id)
@@ -1333,13 +1259,13 @@ func (s *Server) handleRunList(rw http.ResponseWriter, r *http.Request) {
 
 // sessionRun resolves a run scoped to its session path, so run IDs cannot
 // be probed across sessions.
-func (s *Server) sessionRun(r *http.Request) (vada.Run, error) {
+func (s *Server) sessionRun(r *http.Request) (runs.Run, error) {
 	run, err := s.runs.Get(r.PathValue("rid"))
 	if err != nil {
-		return vada.Run{}, err
+		return runs.Run{}, err
 	}
 	if run.SessionID != r.PathValue("id") {
-		return vada.Run{}, fmt.Errorf("%w: %q", vada.ErrRunNotFound, r.PathValue("rid"))
+		return runs.Run{}, fmt.Errorf("%w: %q", runs.ErrNotFound, r.PathValue("rid"))
 	}
 	return run, nil
 }
@@ -1411,13 +1337,13 @@ func (w *sseWriter) setDeadline(t time.Time) error {
 // event renders and sends one session event. Stage events carry their
 // sequence number as the SSE id (so reconnecting clients resume via
 // Last-Event-ID); transition events are id-less progress signals.
-func (w *sseWriter) event(ev vada.SessionEvent) error {
+func (w *sseWriter) event(ev session.Event) error {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		w.logger.Warn("encoding SSE event", "error", err)
 		return nil
 	}
-	if ev.Type == vada.EventTransition {
+	if ev.Type == session.EventTransition {
 		return w.write(fmt.Sprintf("event: transition\ndata: %s\n\n", data))
 	}
 	return w.write(fmt.Sprintf("id: %d\nevent: stage\ndata: %s\n\n", ev.Seq, data))
@@ -1503,7 +1429,7 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", sess.ID()+snapshotExt))
-	if err := vada.ExportSession(rw, sess, s.runs); err != nil {
+	if err := persist.ExportSession(rw, sess, s.runs); err != nil {
 		// Headers are gone; all we can do is log and drop the connection.
 		s.logger.Error("exporting session", "session", sess.ID(), "error", err)
 	}
@@ -1512,10 +1438,13 @@ func (s *Server) handleExport(rw http.ResponseWriter, r *http.Request) {
 // handleImport restores a session from an uploaded snapshot envelope:
 // 201 with the restored state on success, 400 for malformed envelopes,
 // 409 when the session ID is already live, 429 at the session cap. With a
-// data directory the imported session is persisted immediately, so it
-// survives a crash that follows the import.
+// data directory the imported session gets a journal whose baseline
+// snapshot is written when its first stage or run record is acknowledged:
+// until then a crash loses the import (evict and graceful shutdown persist
+// it), and the uploaded envelope stays the client's durable copy. Only the
+// SnapshotPerStage baseline writes the snapshot at import time.
 func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
-	snap, err := vada.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
+	snap, err := persist.ReadSessionSnapshot(http.MaxBytesReader(rw, r.Body, maxSnapshotBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -1540,7 +1469,7 @@ func (s *Server) handleImport(rw http.ResponseWriter, r *http.Request) {
 			cfg.NProperties, cfg.NPostcodes, s.maxN), http.StatusBadRequest)
 		return
 	}
-	sess, err := vada.RestoreSessionInto(s.mgr, s.runs, snap, s.sessionOpts()...)
+	sess, err := persist.RestoreInto(s.mgr, s.runs, snap, s.sessionOpts()...)
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -1608,9 +1537,9 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	type ingested struct {
-		File     string            `json:"file"`
-		Relation string            `json:"relation"`
-		Event    vada.SessionEvent `json:"event"`
+		File     string        `json:"file"`
+		Relation string        `json:"relation"`
+		Event    session.Event `json:"event"`
 	}
 	results := make([]ingested, 0, total)
 	for _, field := range fields {
@@ -1630,7 +1559,7 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 			if name == "" {
 				name = uploadRelationName(fh.Filename)
 			}
-			payload, err := json.Marshal(vada.IngestPayload{
+			payload, err := json.Marshal(connect.IngestPayload{
 				Relation: name,
 				Format:   uploadFormat(fh.Filename, r.URL.Query().Get("format")),
 				Role:     r.URL.Query().Get("role"),
@@ -1641,7 +1570,7 @@ func (s *Server) handleUpload(rw http.ResponseWriter, r *http.Request) {
 				writeError(rw, err)
 				return
 			}
-			st, decoded, err := s.registry.Resolve(vada.StageRequest{Stage: vada.StageIngest, Payload: payload})
+			st, decoded, err := s.registry.Resolve(session.StageRequest{Stage: session.StageIngest, Payload: payload})
 			if err != nil {
 				writeError(rw, err)
 				return
@@ -1667,7 +1596,7 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, err)
 		return
 	}
-	format, err := vada.NormalizeFormat(r.URL.Query().Get("format"))
+	format, err := connect.NormalizeFormat(r.URL.Query().Get("format"))
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -1679,15 +1608,15 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctype, ext := "text/csv; charset=utf-8", ".csv"
-	if format == vada.FormatJSONL {
+	if format == connect.FormatJSONL {
 		ctype, ext = "application/x-ndjson", ".jsonl"
 	}
 	rw.Header().Set("Content-Type", ctype)
 	rw.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name+ext))
 	t0 := time.Now()
-	span := vada.TraceChildFromContext(r.Context(), "export.write",
+	span := trace.ChildFromContext(r.Context(), "export.write",
 		"relation", name, "format", format, "session", sess.ID())
-	stats, err := vada.ConnectWrite(rw, rel, format)
+	stats, err := connect.Write(rw, rel, format)
 	if span != nil {
 		span.EndErr(err)
 	}
@@ -1696,9 +1625,9 @@ func (s *Server) handleExportRelation(rw http.ResponseWriter, r *http.Request) {
 		s.logger.Error("exporting relation", "session", sess.ID(), "relation", name, "error", err)
 		return
 	}
-	s.metrics.Counter(vada.MetricName("connect_rows_total", "dir", "out", "format", stats.Format)).Add(int64(stats.Rows))
-	s.metrics.Counter(vada.MetricName("connect_bytes_total", "dir", "out", "format", stats.Format)).Add(stats.Bytes)
-	s.metrics.Histogram(vada.MetricName("connect_seconds", "dir", "out", "format", stats.Format), nil).ObserveSince(t0)
+	s.metrics.Counter(metrics.Name("connect_rows_total", "dir", "out", "format", stats.Format)).Add(int64(stats.Rows))
+	s.metrics.Counter(metrics.Name("connect_bytes_total", "dir", "out", "format", stats.Format)).Add(stats.Bytes)
+	s.metrics.Histogram(metrics.Name("connect_seconds", "dir", "out", "format", stats.Format), nil).ObserveSince(t0)
 }
 
 // uploadRelationName derives a relation name from an uploaded filename:
@@ -1735,7 +1664,7 @@ func uploadFormat(filename, override string) string {
 	}
 	switch strings.ToLower(filepath.Ext(filename)) {
 	case ".jsonl", ".ndjson":
-		return vada.FormatJSONL
+		return connect.FormatJSONL
 	default:
 		return ""
 	}
@@ -1751,22 +1680,22 @@ func (s *Server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 		// The metricz roll-up: enough to spot trouble from a health probe,
 		// with /api/v1/metricz carrying the full per-series breakdown.
 		"metrics": map[string]int64{
-			"http_requests_total":      vada.SumMetricsCounters(snap, "http_requests_total"),
+			"http_requests_total":      metrics.SumCounters(snap, "http_requests_total"),
 			"http_errors_total":        httpErrorTotal(snap),
-			"runs_completed_total":     vada.SumMetricsCounters(snap, "runs_completed_total"),
-			"runs_rejected_total":      vada.SumMetricsCounters(snap, "runs_queue_rejections_total"),
-			"sse_dropped_events_total": vada.SumMetricsCounters(snap, "sse_dropped_events_total"),
-			"persist_fsync_total":      vada.SumMetricsCounters(snap, "persist_fsync_total"),
-			"connect_rows_total":       vada.SumMetricsCounters(snap, "connect_rows_total"),
-			"connect_bytes_total":      vada.SumMetricsCounters(snap, "connect_bytes_total"),
-			"advise_suggestions_total": vada.SumMetricsCounters(snap, "advise_suggestions_total"),
-			"advise_accepted_total":    vada.SumMetricsCounters(snap, "advise_accepted_total"),
+			"runs_completed_total":     metrics.SumCounters(snap, "runs_completed_total"),
+			"runs_rejected_total":      metrics.SumCounters(snap, "runs_queue_rejections_total"),
+			"sse_dropped_events_total": metrics.SumCounters(snap, "sse_dropped_events_total"),
+			"persist_fsync_total":      metrics.SumCounters(snap, "persist_fsync_total"),
+			"connect_rows_total":       metrics.SumCounters(snap, "connect_rows_total"),
+			"connect_bytes_total":      metrics.SumCounters(snap, "connect_bytes_total"),
+			"advise_suggestions_total": metrics.SumCounters(snap, "advise_suggestions_total"),
+			"advise_accepted_total":    metrics.SumCounters(snap, "advise_accepted_total"),
 		},
 		// The runtime sampler's latest gauges: enough to spot a goroutine
 		// leak or heap growth from the same probe.
 		"runtime": map[string]int64{
-			"goroutines":       snap.Gauges[vada.MetricRuntimeGoroutines],
-			"heap_inuse_bytes": snap.Gauges[vada.MetricRuntimeHeapInuse],
+			"goroutines":       snap.Gauges[metrics.RuntimeGoroutines],
+			"heap_inuse_bytes": snap.Gauges[metrics.RuntimeHeapInuse],
 		},
 	}
 	if s.tracer != nil {
@@ -1787,7 +1716,7 @@ func (s *Server) persistStats() map[string]any {
 	// an in-flight append holds across its fsync — reading them under
 	// recMu would let one slow disk stall every session's stage hook.
 	s.recMu.Lock()
-	recs := make([]*vada.JournalRecorder, 0, len(s.recorders))
+	recs := make([]*journal.Recorder, 0, len(s.recorders))
 	for _, rec := range s.recorders {
 		recs = append(recs, rec)
 	}
@@ -1801,13 +1730,12 @@ func (s *Server) persistStats() map[string]any {
 		bytes += b
 	}
 	out := map[string]any{
-		"journal":            s.journal,
+		"journal":            s.journalOn(),
 		"journaled_sessions": sessions,
 		"journal_records":    records,
 		"journal_bytes":      bytes,
-		"journal_row_diffs":  s.journalRowDiffs,
 	}
-	if s.snapshotPerStage && !s.journal {
+	if s.snapshotPerStage {
 		out["snapshot_per_stage"] = true
 	}
 	if s.committer != nil {
@@ -1816,7 +1744,7 @@ func (s *Server) persistStats() map[string]any {
 			"window":    s.committer.Window().String(),
 			"max_batch": s.committer.MaxBatch(),
 			"commits":   snap.Counters["persist_group_commits_total"],
-			"fsyncs":    vada.SumMetricsCounters(snap, "persist_fsync_total"),
+			"fsyncs":    metrics.SumCounters(snap, "persist_fsync_total"),
 		}
 	}
 	s.persistMu.Lock()
@@ -1843,7 +1771,7 @@ func (s *Server) handleSuggestions(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sugs == nil {
-		sugs = []vada.Suggestion{}
+		sugs = []advise.Suggestion{}
 	}
 	writeJSON(rw, map[string]any{"total": len(sugs), "suggestions": sugs})
 }
@@ -1893,7 +1821,7 @@ func (s *Server) handleTrace(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(rw, vada.TraceString(sess.Trace()))
+	fmt.Fprint(rw, transducer.TraceString(sess.Trace()))
 }
 
 func (s *Server) handleIndex(rw http.ResponseWriter, _ *http.Request) {
@@ -1902,7 +1830,7 @@ func (s *Server) handleIndex(rw http.ResponseWriter, _ *http.Request) {
 }
 
 // writeEvent renders a stage outcome or maps its error onto a status code.
-func writeEvent(rw http.ResponseWriter, ev vada.SessionEvent, err error) {
+func writeEvent(rw http.ResponseWriter, ev session.Event, err error) {
 	if err != nil {
 		writeError(rw, err)
 		return
@@ -1927,29 +1855,29 @@ func writeBodyError(rw http.ResponseWriter, err error) {
 func writeError(rw http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, vada.ErrSessionNotFound), errors.Is(err, vada.ErrNoResult),
-		errors.Is(err, vada.ErrRunNotFound), errors.Is(err, vada.ErrUnknownRelation):
+	case errors.Is(err, session.ErrNotFound), errors.Is(err, core.ErrNoResult),
+		errors.Is(err, runs.ErrNotFound), errors.Is(err, connect.ErrUnknownRelation):
 		status = http.StatusNotFound
-	case errors.Is(err, vada.ErrUnknownUserContext), errors.Is(err, vada.ErrNoDataContext),
-		errors.Is(err, vada.ErrUnknownStage), errors.Is(err, vada.ErrBadStagePayload),
-		errors.Is(err, vada.ErrBadPlan), errors.Is(err, vada.ErrBadSnapshot),
-		errors.Is(err, vada.ErrSnapshotMagic), errors.Is(err, vada.ErrSnapshotVersion),
-		errors.Is(err, vada.ErrSnapshotTruncated), errors.Is(err, vada.ErrSnapshotChecksum),
-		errors.Is(err, vada.ErrSnapshotTooLarge),
-		errors.Is(err, vada.ErrBadFormat), errors.Is(err, vada.ErrSchemaMismatch):
+	case errors.Is(err, core.ErrUnknownUserContext), errors.Is(err, core.ErrNoDataContext),
+		errors.Is(err, session.ErrUnknownStage), errors.Is(err, session.ErrBadPayload),
+		errors.Is(err, runs.ErrBadPlan), errors.Is(err, persist.ErrBadSnapshot),
+		errors.Is(err, persist.ErrBadMagic), errors.Is(err, persist.ErrBadVersion),
+		errors.Is(err, persist.ErrTruncated), errors.Is(err, persist.ErrChecksum),
+		errors.Is(err, persist.ErrTooLarge),
+		errors.Is(err, connect.ErrBadFormat), errors.Is(err, connect.ErrSchemaMismatch):
 		status = http.StatusBadRequest
-	case errors.Is(err, vada.ErrSessionExists):
+	case errors.Is(err, session.ErrExists):
 		status = http.StatusConflict
-	case errors.Is(err, vada.ErrSessionLimit), errors.Is(err, vada.ErrRunQueueFull):
+	case errors.Is(err, session.ErrLimit), errors.Is(err, runs.ErrQueueFull):
 		status = http.StatusTooManyRequests
 		rw.Header().Set("Retry-After", "1")
-	case errors.Is(err, vada.ErrTooLarge):
+	case errors.Is(err, connect.ErrTooLarge):
 		status = http.StatusRequestEntityTooLarge
-	case errors.Is(err, vada.ErrFetchFailed):
+	case errors.Is(err, connect.ErrFetchFailed):
 		status = http.StatusBadGateway
-	case errors.Is(err, vada.ErrSessionClosed):
+	case errors.Is(err, session.ErrClosed):
 		status = http.StatusGone
-	case errors.Is(err, vada.ErrRunEngineClosed):
+	case errors.Is(err, runs.ErrEngineClosed):
 		status = http.StatusServiceUnavailable
 	}
 	http.Error(rw, err.Error(), status)

@@ -19,21 +19,27 @@ import (
 	"testing"
 	"time"
 
-	"vada"
+	"vada/internal/datagen"
+	"vada/internal/journal"
+	"vada/internal/kb"
+	"vada/internal/metrics"
+	"vada/internal/persist"
+	"vada/internal/runs"
+	"vada/internal/session"
 )
 
-func testServer(t *testing.T, opts ...vada.ManagerOption) (*Server, *httptest.Server) {
+func testServer(t *testing.T, opts ...session.ManagerOption) (*Server, *httptest.Server) {
 	return testServerEngine(t, nil, opts...)
 }
 
 // testServerEngine mirrors main's wiring with extra run-engine options: the
 // notify hook publishes transitions to session subscribers, and closing or
 // evicting a session cancels its runs.
-func testServerEngine(t *testing.T, engineOpts []vada.RunEngineOption, opts ...vada.ManagerOption) (*Server, *httptest.Server) {
+func testServerEngine(t *testing.T, engineOpts []runs.Option, opts ...session.ManagerOption) (*Server, *httptest.Server) {
 	t.Helper()
 	s := &Server{
-		registry:        vada.DefaultStageRegistry(),
-		metrics:         vada.NewMetricsRegistry(),
+		registry:        session.DefaultRegistry(),
+		metrics:         metrics.NewRegistry(),
 		defaultN:        60,
 		defaultSeed:     1,
 		started:         time.Now(),
@@ -41,11 +47,11 @@ func testServerEngine(t *testing.T, engineOpts []vada.RunEngineOption, opts ...v
 		sseWriteTimeout: 10 * time.Second,
 		logger:          slog.New(slog.DiscardHandler),
 	}
-	s.runs = vada.NewRunEngine(append([]vada.RunEngineOption{
-		vada.WithRunWorkers(4),
-		vada.WithRunNotify(s.publishTransition),
+	s.runs = runs.New(append([]runs.Option{
+		runs.WithWorkers(4),
+		runs.WithNotify(s.publishTransition),
 	}, engineOpts...)...)
-	s.mgr = vada.NewSessionManager(append(opts, vada.WithEvictHook(func(sess *vada.Session) {
+	s.mgr = session.NewManager(append(opts, session.WithEvictHook(func(sess *session.Session) {
 		s.runs.CancelSession(sess.ID())
 	}))...)
 	t.Cleanup(s.runs.Close)
@@ -93,6 +99,23 @@ func post(t *testing.T, url string) map[string]any {
 	return out
 }
 
+// postStage POSTs a JSON payload to the session's stages/{name} route and
+// decodes the 200 stage event.
+func postStage(t *testing.T, base, name, payload string) map[string]any {
+	t.Helper()
+	resp := postJSON(t, base+"/stages/"+name, payload)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST stages/%s: %s (%s)", name, resp.Status, body)
+	}
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func get(t *testing.T, url string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -119,21 +142,21 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// Step 1: bootstrap.
-	out := post(t, base+"/bootstrap")
+	out := post(t, base+"/stages/bootstrap")
 	if out["stage"] != "bootstrap" {
 		t.Fatalf("bootstrap response: %v", out)
 	}
 	// Step 2: data context (defaults to the scenario's reference data).
-	out = post(t, base+"/datacontext")
+	out = post(t, base+"/stages/data-context")
 	score := out["score"].(map[string]any)
 	if score["F1"].(float64) <= 0 {
 		t.Fatalf("data-context score: %v", score)
 	}
 	// Step 3: feedback.
-	post(t, base+"/feedback?budget=40")
+	postStage(t, base, "feedback", `{"budget":40}`)
 	// Step 4: user context, both models.
-	post(t, base+"/usercontext?model=crime")
-	post(t, base+"/usercontext?model=size")
+	postStage(t, base, "user-context", `{"model":"crime"}`)
+	postStage(t, base, "user-context", `{"model":"size"}`)
 
 	// State lists all stage events.
 	_, body := get(t, base)
@@ -226,15 +249,18 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			base := ts.URL + "/api/v1/sessions/" + id
-			for _, step := range []string{"bootstrap", "datacontext", "feedback?budget=20", "usercontext?model=crime"} {
-				resp, err := http.Post(base+"/"+step, "", nil)
+			for _, step := range []struct{ name, payload string }{
+				{"bootstrap", ""}, {"data-context", ""},
+				{"feedback", `{"budget":20}`}, {"user-context", `{"model":"crime"}`},
+			} {
+				resp, err := http.Post(base+"/stages/"+step.name, "application/json", strings.NewReader(step.payload))
 				if err != nil {
 					errs <- err
 					return
 				}
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("session %s step %s: %s", id, step, resp.Status)
+					errs <- fmt.Errorf("session %s step %s: %s", id, step.name, resp.Status)
 					return
 				}
 			}
@@ -268,7 +294,7 @@ func TestErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id state: %s", resp.Status)
 	}
-	presp, err := http.Post(ts.URL+"/api/v1/sessions/nope/bootstrap", "", nil)
+	presp, err := http.Post(ts.URL+"/api/v1/sessions/nope/stages/bootstrap", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +315,8 @@ func TestErrorPaths(t *testing.T) {
 
 	// Unknown user-context model is a 400.
 	id := createSession(t, ts, "")
-	uresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/usercontext?model=nonsense", "", nil)
+	uresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/stages/user-context", "application/json",
+		strings.NewReader(`{"model":"nonsense"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +326,7 @@ func TestErrorPaths(t *testing.T) {
 	}
 
 	// Malformed feedback JSON is a 400.
-	fresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/feedback", "application/json", strings.NewReader("{"))
+	fresp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/stages/feedback", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +353,7 @@ func TestErrorPaths(t *testing.T) {
 }
 
 func TestSessionCap(t *testing.T) {
-	_, ts := testServer(t, vada.WithMaxSessions(1))
+	_, ts := testServer(t, session.WithMaxSessions(1))
 	createSession(t, ts, `{"n":30}`)
 	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(`{"n":30}`))
 	if err != nil {
@@ -342,7 +369,7 @@ func TestExplicitFeedbackJSON(t *testing.T) {
 	s, ts := testServer(t)
 	id := createSession(t, ts, "")
 	base := ts.URL + "/api/v1/sessions/" + id
-	post(t, base+"/bootstrap")
+	post(t, base+"/stages/bootstrap")
 
 	sess, err := s.mgr.Get(id)
 	if err != nil {
@@ -354,23 +381,28 @@ func TestExplicitFeedbackJSON(t *testing.T) {
 	}
 	si := res.Schema.AttrIndex("street")
 	pi := res.Schema.AttrIndex("postcode")
-	// The unknown "Note" field checks the alias keeps its historical
-	// lenient decoding (the strict codec applies to the generic route).
 	item := map[string]any{
 		"Street":   res.Tuples[0][si].String(),
 		"Postcode": res.Tuples[0][pi].String(),
 		"Attr":     "bedrooms",
 		"Correct":  true,
-		"Note":     "ignored by the legacy alias",
 	}
-	body, _ := json.Marshal([]map[string]any{item})
-	resp, err := http.Post(base+"/feedback", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
+	body, _ := json.Marshal(map[string]any{"items": []map[string]any{item}})
+	if ev := postStage(t, base, "feedback", string(body)); ev["stage"] != "feedback" {
+		t.Fatalf("explicit feedback event = %v", ev)
 	}
+	if got := len(sess.Wrangler().FeedbackItems()); got != 1 {
+		t.Fatalf("feedback store holds %d items, want 1", got)
+	}
+
+	// The stage codec is strict: an unknown item field is a 400, not a
+	// silently dropped annotation.
+	item["Note"] = "not a feedback field"
+	body, _ = json.Marshal(map[string]any{"items": []map[string]any{item}})
+	resp := postJSON(t, base+"/stages/feedback", string(body))
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("explicit feedback: %s", resp.Status)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown item field: %s, want 400", resp.Status)
 	}
 }
 
@@ -410,7 +442,7 @@ func TestAsyncStageFlow(t *testing.T) {
 		id = createSession(t, ts, `{"name":"async"}`)
 		start := time.Now()
 		var err error
-		resp, err = http.Post(ts.URL+"/api/v1/sessions/"+id+"/bootstrap?async=1", "", nil)
+		resp, err = http.Post(ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap?async=1", "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +482,7 @@ func TestAsyncStageFlow(t *testing.T) {
 	}
 
 	// A second async stage queues behind nothing and also succeeds.
-	resp2, err := http.Post(base+"/datacontext?async=true", "", nil)
+	resp2, err := http.Post(base+"/stages/data-context?async=true", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,10 +529,10 @@ func TestRunCancelInFlight(t *testing.T) {
 	base := ts.URL + "/api/v1/sessions/" + id
 
 	started := make(chan struct{})
-	run, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (vada.SessionEvent, error) {
+	run, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		<-ctx.Done()
-		return vada.SessionEvent{}, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -530,17 +562,17 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// A queued run cancels immediately.
 	started2 := make(chan struct{})
-	blocker, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (vada.SessionEvent, error) {
+	blocker, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started2)
 		<-ctx.Done()
-		return vada.SessionEvent{}, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started2
-	queued, err := s.runs.Submit(id, "queued-stage", func(ctx context.Context) (vada.SessionEvent, error) {
-		return vada.SessionEvent{}, nil
+	queued, err := s.runs.Submit(id, "queued-stage", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -564,10 +596,10 @@ func TestRunCancelInFlight(t *testing.T) {
 
 	// Closing the session cancels whatever is still live.
 	started3 := make(chan struct{})
-	live, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (vada.SessionEvent, error) {
+	live, err := s.runs.Submit(id, "blocking", func(ctx context.Context) (session.Event, error) {
 		close(started3)
 		<-ctx.Done()
-		return vada.SessionEvent{}, ctx.Err()
+		return session.Event{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +617,7 @@ func TestRunCancelInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.State == vada.RunCancelled {
+		if got.State == runs.StateCancelled {
 			break
 		}
 		if !got.State.Terminal() && time.Now().Before(deadline) {
@@ -623,8 +655,8 @@ func TestRunNotFoundPaths(t *testing.T) {
 		t.Fatalf("unknown run: %s", resp.Status)
 	}
 	// A run of one session is invisible under another session's path.
-	run, err := s.runs.Submit(otherID, "b", func(ctx context.Context) (vada.SessionEvent, error) {
-		return vada.SessionEvent{}, nil
+	run, err := s.runs.Submit(otherID, "b", func(ctx context.Context) (session.Event, error) {
+		return session.Event{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -707,7 +739,7 @@ func TestSSEEvents(t *testing.T) {
 	// Live delivery: subscribe first, then run the stage asynchronously.
 	sc1, close1 := sseConn(t, base+"/events", "")
 	defer close1()
-	resp, err := http.Post(base+"/bootstrap?async=1", "", nil)
+	resp, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,7 +763,7 @@ func TestSSEEvents(t *testing.T) {
 	// the data-context stage.
 	sc3, close3 := sseConn(t, base+"/events", "1")
 	defer close3()
-	if _, err := http.Post(base+"/datacontext", "", nil); err != nil {
+	if _, err := http.Post(base+"/stages/data-context", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	evID3, data3, ok := readSSEStage(t, sc3)
@@ -817,10 +849,10 @@ func TestStageDiscovery(t *testing.T) {
 	}
 
 	// A stage registered on the server registry is immediately discoverable.
-	if err := s.registry.Register(vada.Stage{
+	if err := s.registry.Register(session.Stage{
 		Name:        "noop",
 		Description: "test stage",
-		Apply: func(ctx context.Context, sess *vada.Session, _ any) (vada.SessionEvent, error) {
+		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
 			return sess.Step(ctx, "noop", nil)
 		},
 	}); err != nil {
@@ -1087,11 +1119,11 @@ func TestPlanErrorPaths(t *testing.T) {
 // session history only has the stages that ran.
 func TestPlanMidFailureStops(t *testing.T) {
 	s, ts := testServer(t)
-	if err := s.registry.Register(vada.Stage{
+	if err := s.registry.Register(session.Stage{
 		Name:        "explode",
 		Description: "always fails",
-		Apply: func(ctx context.Context, sess *vada.Session, _ any) (vada.SessionEvent, error) {
-			return vada.SessionEvent{}, fmt.Errorf("explode: no")
+		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
+			return session.Event{}, fmt.Errorf("explode: no")
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -1134,13 +1166,13 @@ func TestPlanMidFailureStops(t *testing.T) {
 func TestPlanCancelMidway(t *testing.T) {
 	s, ts := testServer(t)
 	started := make(chan struct{})
-	if err := s.registry.Register(vada.Stage{
+	if err := s.registry.Register(session.Stage{
 		Name:        "block",
 		Description: "blocks until cancelled",
-		Apply: func(ctx context.Context, sess *vada.Session, _ any) (vada.SessionEvent, error) {
+		Apply: func(ctx context.Context, sess *session.Session, _ any) (session.Event, error) {
 			close(started)
 			<-ctx.Done()
-			return vada.SessionEvent{}, ctx.Err()
+			return session.Event{}, ctx.Err()
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -1199,8 +1231,6 @@ func TestMethodNotAllowed(t *testing.T) {
 		{http.MethodPost, "/api/v1/sessions/x", []string{"DELETE", "GET", "HEAD"}},
 		{http.MethodGet, "/api/v1/sessions/x/stages/bootstrap", []string{"POST"}},
 		{http.MethodGet, "/api/v1/sessions/x/plans", []string{"POST"}},
-		{http.MethodGet, "/api/v1/sessions/x/bootstrap", []string{"POST"}},
-		{http.MethodGet, "/api/v1/sessions/x/feedback", []string{"POST"}},
 		{http.MethodPost, "/api/v1/sessions/x/result", []string{"GET", "HEAD"}},
 		{http.MethodPost, "/api/v1/sessions/x/events", []string{"GET", "HEAD"}},
 		{http.MethodDelete, "/api/v1/sessions/x/runs", []string{"GET", "HEAD"}},
@@ -1237,13 +1267,43 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestRemovedStageAliases pins the single stage API: the per-stage route
+// aliases and the duplicate state route are gone — 404 on a live session,
+// with every verb — while stages/{name} and GET /sessions/{id} serve them.
+func TestRemovedStageAliases(t *testing.T) {
+	_, ts := testServer(t)
+	id := createSession(t, ts, `{"n":30}`)
+	base := ts.URL + "/api/v1/sessions/" + id
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/bootstrap"},
+		{http.MethodPost, "/datacontext"},
+		{http.MethodPost, "/feedback?budget=10"},
+		{http.MethodPost, "/usercontext?model=crime"},
+		{http.MethodGet, "/bootstrap"},
+		{http.MethodGet, "/state"},
+	} {
+		req, _ := http.NewRequest(c.method, base+c.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: %s, want 404", c.method, c.path, resp.Status)
+		}
+	}
+	if st := getJSON(t, base); st["id"] != id || st["events"] != nil {
+		t.Fatalf("state = %v, want no stages run by the removed aliases", st)
+	}
+}
+
 // TestSessionRunQueue429 checks run-engine fairness over HTTP: a session
 // at its pending-run cap gets 429 with a Retry-After hint while other
 // sessions keep submitting.
 func TestSessionRunQueue429(t *testing.T) {
-	s, ts := testServerEngine(t, []vada.RunEngineOption{
-		vada.WithRunWorkers(1),
-		vada.WithRunSessionQueue(1),
+	s, ts := testServerEngine(t, []runs.Option{
+		runs.WithWorkers(1),
+		runs.WithSessionQueue(1),
 	})
 	id := createSession(t, ts, "")
 	other := createSession(t, ts, "")
@@ -1253,13 +1313,13 @@ func TestSessionRunQueue429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := s.runs.Submit(id, "block", func(ctx context.Context) (vada.SessionEvent, error) {
+	if _, err := s.runs.Submit(id, "block", func(ctx context.Context) (session.Event, error) {
 		close(started)
 		select {
 		case <-ctx.Done():
-			return vada.SessionEvent{}, ctx.Err()
+			return session.Event{}, ctx.Err()
 		case <-release:
-			return vada.SessionEvent{}, nil
+			return session.Event{}, nil
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -1267,7 +1327,7 @@ func TestSessionRunQueue429(t *testing.T) {
 	<-started
 
 	// First pending run fits the cap.
-	r1, err := http.Post(base+"/bootstrap?async=1", "", nil)
+	r1, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1276,7 +1336,7 @@ func TestSessionRunQueue429(t *testing.T) {
 		t.Fatalf("first pending: %s", r1.Status)
 	}
 	// Second exceeds it: 429 + Retry-After.
-	r2, err := http.Post(base+"/bootstrap?async=1", "", nil)
+	r2, err := http.Post(base+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1298,7 +1358,7 @@ func TestSessionRunQueue429(t *testing.T) {
 		t.Fatalf("plan over session cap: %s, want 429", r3.Status)
 	}
 	// An independent session is unaffected.
-	r4, err := http.Post(ts.URL+"/api/v1/sessions/"+other+"/bootstrap?async=1", "", nil)
+	r4, err := http.Post(ts.URL+"/api/v1/sessions/"+other+"/stages/bootstrap?async=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1312,8 +1372,8 @@ func TestSessionRunQueue429(t *testing.T) {
 // stream carries periodic keep-alive comments.
 func TestSSEKeepAlive(t *testing.T) {
 	s := &Server{
-		registry:        vada.DefaultStageRegistry(),
-		metrics:         vada.NewMetricsRegistry(),
+		registry:        session.DefaultRegistry(),
+		metrics:         metrics.NewRegistry(),
 		defaultN:        30,
 		defaultSeed:     1,
 		started:         time.Now(),
@@ -1321,8 +1381,8 @@ func TestSSEKeepAlive(t *testing.T) {
 		sseWriteTimeout: time.Second,
 		logger:          slog.New(slog.DiscardHandler),
 	}
-	s.runs = vada.NewRunEngine(vada.WithRunWorkers(1), vada.WithRunNotify(s.publishTransition))
-	s.mgr = vada.NewSessionManager()
+	s.runs = runs.New(runs.WithWorkers(1), runs.WithNotify(s.publishTransition))
+	s.mgr = session.NewManager()
 	t.Cleanup(s.runs.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -1372,21 +1432,10 @@ func TestPayloadTooLarge(t *testing.T) {
 }
 
 // durableServer builds the full production wiring — durability included —
-// against a data directory, exactly as main does.
+// against a data directory, with main's default compaction thresholds.
 func durableServer(t *testing.T, dataDir string) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{
-		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
-		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
-		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: dataDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return journalServer(t, dataDir, 512, 8<<20)
 }
 
 // getJSON fetches and decodes one JSON document.
@@ -1403,6 +1452,25 @@ func getJSON(t *testing.T, url string) map[string]any {
 	return out
 }
 
+// snapshotServer builds the durable wiring in the SnapshotPerStage
+// baseline mode: no journal, the full snapshot envelope rewritten after
+// every completed stage and run.
+func snapshotServer(t *testing.T, dataDir string) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(Config{
+		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
+		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
+		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
+		DataDir: dataDir, SnapshotPerStage: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
 // waitSnapshotRun polls the session's snapshot file until it holds the
 // given run in a terminal state — the durability point a kill -9 must not
 // lose.
@@ -1412,7 +1480,7 @@ func waitSnapshotRun(t *testing.T, path, rid string) {
 	for time.Now().Before(deadline) {
 		f, err := os.Open(path)
 		if err == nil {
-			snap, err := vada.ReadSessionSnapshot(f)
+			snap, err := persist.ReadSessionSnapshot(f)
 			f.Close()
 			if err == nil {
 				for _, r := range snap.Runs {
@@ -1427,13 +1495,14 @@ func waitSnapshotRun(t *testing.T, path, rid string) {
 	t.Fatalf("snapshot %s never recorded terminal run %s", path, rid)
 }
 
-// TestRestartRecovery is the kill -9 acceptance flow: a session wrangles a
-// full four-stage plan, the process dies without any graceful shutdown, and
-// a server restarted over the same -data-dir serves identical result rows,
-// identical event history and the identical terminal run resource.
+// TestRestartRecovery is the kill -9 acceptance flow of the journal-free
+// SnapshotPerStage mode: a session wrangles a full four-stage plan, the
+// process dies without any graceful shutdown, and a server restarted over
+// the same -data-dir serves identical result rows, identical event history
+// and the identical terminal run resource from the .vsnap alone.
 func TestRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := durableServer(t, dir)
+	s1, ts1 := snapshotServer(t, dir)
 
 	id := createSession(t, ts1, `{"name":"durable"}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
@@ -1465,12 +1534,15 @@ func TestRestartRecovery(t *testing.T) {
 
 	// The completed run's snapshot must already be on disk — that is what a
 	// kill -9 preserves. No graceful Close happens for server 1.
-	waitSnapshotRun(t, filepath.Join(dir, id+".vsnap"), rid)
+	waitSnapshotRun(t, filepath.Join(dir, id+snapshotExt), rid)
+	if _, err := os.Stat(filepath.Join(dir, id+journalExt)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SnapshotPerStage wrote a journal: %v", err)
+	}
 	ts1.Close()
 	_ = s1 // deliberately never s1.Close(): this is the kill -9
 
 	// Restart over the same directory.
-	s2, ts2 := durableServer(t, dir)
+	s2, ts2 := snapshotServer(t, dir)
 	t.Cleanup(s2.Close)
 	base2 := ts2.URL + "/api/v1/sessions/" + id
 
@@ -1531,10 +1603,10 @@ func TestCloseEvictPersists(t *testing.T) {
 
 	id := createSession(t, ts, `{"name":"evicted"}`)
 	base := ts.URL + "/api/v1/sessions/" + id
-	if resp, body := get(t, base+"/state"); resp.StatusCode != http.StatusOK {
+	if resp, body := get(t, base); resp.StatusCode != http.StatusOK {
 		t.Fatalf("state: %s", body)
 	}
-	resp, err := http.Post(base+"/bootstrap", "", nil)
+	resp, err := http.Post(base+"/stages/bootstrap", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1567,7 +1639,7 @@ func TestCloseEvictPersists(t *testing.T) {
 		t.Fatalf("close did not archive: %v", err)
 	}
 	defer f.Close()
-	snap, err := vada.ReadSessionSnapshot(f)
+	snap, err := persist.ReadSessionSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1582,7 +1654,7 @@ func TestExportImport(t *testing.T) {
 	_, ts := testServer(t)
 	id := createSession(t, ts, `{"name":"exported"}`)
 	base := ts.URL + "/api/v1/sessions/" + id
-	post(t, base+"/bootstrap")
+	post(t, base+"/stages/bootstrap")
 
 	resp, err := http.Get(base + "/export")
 	if err != nil {
@@ -1643,7 +1715,7 @@ func TestExportImport(t *testing.T) {
 		t.Fatalf("imported result drifted:\n got %s\nwant %s", gotResult, wantResult)
 	}
 	// And it wrangles on.
-	post(t, base+"/datacontext")
+	post(t, base+"/stages/data-context")
 }
 
 // TestImportRejections covers the import guardrails: garbage envelopes,
@@ -1670,9 +1742,9 @@ func TestImportRejections(t *testing.T) {
 	// A structurally-valid snapshot whose ID would escape the data
 	// directory is refused before it touches anything.
 	var evil bytes.Buffer
-	err := vada.WriteSessionSnapshot(&evil, &vada.SessionSnapshot{
-		Meta: vada.SnapshotMeta{ID: "../evil"},
-		KB:   vada.NewKB(),
+	err := persist.WriteSessionSnapshot(&evil, &persist.SessionSnapshot{
+		Meta: persist.Meta{ID: "../evil"},
+		KB:   kb.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1710,13 +1782,13 @@ func TestImportScenarioBounds(t *testing.T) {
 	importURL := ts.URL + "/api/v1/sessions/import"
 
 	build := func(n, postcodes int) []byte {
-		cfg := vada.DefaultScenarioConfig()
+		cfg := datagen.DefaultConfig()
 		cfg.NProperties = n
 		cfg.NPostcodes = postcodes
 		var buf bytes.Buffer
-		err := vada.WriteSessionSnapshot(&buf, &vada.SessionSnapshot{
-			Meta: vada.SnapshotMeta{ID: "bounds-test", Scenario: &cfg},
-			KB:   vada.NewKB(),
+		err := persist.WriteSessionSnapshot(&buf, &persist.SessionSnapshot{
+			Meta: persist.Meta{ID: "bounds-test", Scenario: &cfg},
+			KB:   kb.New(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -1761,7 +1833,7 @@ func journalServer(t *testing.T, dataDir string, maxRecords int, maxBytes int64)
 		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
 		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
 		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: dataDir, Journal: true,
+		DataDir:           dataDir,
 		JournalMaxRecords: maxRecords, JournalMaxBytes: maxBytes,
 	})
 	if err != nil {
@@ -1773,13 +1845,13 @@ func journalServer(t *testing.T, dataDir string, maxRecords int, maxBytes int64)
 }
 
 // readJournal replays a journal file's valid prefix.
-func readJournal(t *testing.T, path string) []vada.JournalRecord {
+func readJournal(t *testing.T, path string) []journal.Record {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := vada.ReplayJournal(bytes.NewReader(data))
+	res, err := journal.Replay(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1794,7 +1866,7 @@ func waitJournalRun(t *testing.T, path, rid string) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if data, err := os.ReadFile(path); err == nil {
-			if res, err := vada.ReplayJournal(bytes.NewReader(data)); err == nil {
+			if res, err := journal.Replay(bytes.NewReader(data)); err == nil {
 				for _, rec := range res.Records {
 					if rec.Run != nil && rec.Run.ID == rid && rec.Run.State.Terminal() {
 						return
@@ -1807,12 +1879,12 @@ func waitJournalRun(t *testing.T, path, rid string) {
 	t.Fatalf("journal %s never recorded terminal run %s", path, rid)
 }
 
-// TestRestartRecoveryJournaled is the kill -9 acceptance flow with
-// incremental durability: a session completes a 4-stage plan run plus one
-// more async stage run with NO compaction in between — the snapshot on disk
-// stays the stageless baseline, all state lives in O(delta) journal
-// appends — the process dies without any graceful shutdown, and a server
-// restarted over the same -data-dir serves identical result rows,
+// TestRestartRecoveryJournaled is the kill -9 acceptance flow: a session
+// completes a 4-stage plan run plus one more async stage run with NO
+// compaction in between — the snapshot on disk stays the stageless
+// baseline, all state lives in O(delta) journal appends — the process dies
+// without any graceful shutdown, and a server restarted over the same
+// -data-dir lists the session again and serves identical result rows,
 // identical event history (Seq continues) and both terminal run resources.
 func TestRestartRecoveryJournaled(t *testing.T) {
 	dir := t.TempDir()
@@ -1874,7 +1946,7 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := vada.ReadSessionSnapshot(f)
+	baseline, err := persist.ReadSessionSnapshot(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -1895,6 +1967,9 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 	t.Cleanup(s2.Close)
 	base2 := ts2.URL + "/api/v1/sessions/" + id
 
+	if all := getJSON(t, ts2.URL+"/api/v1/sessions"); all["total"].(float64) != 1 {
+		t.Fatalf("restored sessions = %v", all["total"])
+	}
 	gotState := getJSON(t, base2)
 	if gotState["id"] != id || gotState["name"] != "journaled" {
 		t.Fatalf("restored identity: %v/%v", gotState["id"], gotState["name"])
@@ -1919,6 +1994,9 @@ func TestRestartRecoveryJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp3.Body.Close()
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("post-restart stage: %s", resp3.Status)
+	}
 	var ev map[string]any
 	if err := json.NewDecoder(resp3.Body).Decode(&ev); err != nil {
 		t.Fatal(err)
@@ -1949,7 +2027,7 @@ func TestJournalCompaction(t *testing.T) {
 	for {
 		f, err := os.Open(snapPath)
 		if err == nil {
-			snap, err := vada.ReadSessionSnapshot(f)
+			snap, err := persist.ReadSessionSnapshot(f)
 			f.Close()
 			if err == nil && len(snap.Events) == 1 {
 				if recs := readJournal(t, jpath); len(recs) == 0 {
@@ -1983,7 +2061,7 @@ func TestSnapshotGC(t *testing.T) {
 
 	id := createSession(t, ts1, `{"name":"gc"}`)
 	base1 := ts1.URL + "/api/v1/sessions/" + id
-	post(t, base1+"/bootstrap")
+	post(t, base1+"/stages/bootstrap")
 	req, _ := http.NewRequest(http.MethodDelete, base1, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -2018,7 +2096,7 @@ func TestSnapshotGC(t *testing.T) {
 		N: 50, MaxN: 2000, Seed: 1, MaxSessions: 64,
 		RunWorkers: 4, RunQueue: 256, RunSessionQueue: 16,
 		SSEKeepAlive: 15 * time.Second, SSEWriteTimeout: 10 * time.Second,
-		DataDir: dir, Journal: true, JournalMaxRecords: 10000, JournalMaxBytes: 1 << 30,
+		DataDir: dir, JournalMaxRecords: 10000, JournalMaxBytes: 1 << 30,
 		RestoreClosed: true,
 	})
 	if err != nil {
@@ -2037,7 +2115,7 @@ func TestSnapshotGC(t *testing.T) {
 		t.Fatalf("unarchived session has no live snapshot: %v", err)
 	}
 	// And it wrangles on.
-	post(t, ts3.URL+"/api/v1/sessions/"+id+"/datacontext")
+	post(t, ts3.URL+"/api/v1/sessions/"+id+"/stages/data-context")
 }
 
 // TestHealthzPersistStats pins the new healthz section: journal mode,
@@ -2048,7 +2126,7 @@ func TestHealthzPersistStats(t *testing.T) {
 	t.Cleanup(s.Close)
 
 	id := createSession(t, ts, "")
-	post(t, ts.URL+"/api/v1/sessions/"+id+"/bootstrap") // sync: journaled via the stage hook
+	post(t, ts.URL+"/api/v1/sessions/"+id+"/stages/bootstrap") // sync: journaled via the stage hook
 
 	h := getJSON(t, ts.URL+"/api/v1/healthz")
 	persist, ok := h["persist"].(map[string]any)
