@@ -10,20 +10,19 @@ import (
 
 // loadOptions bundles the -exp load flags.
 type loadOptions struct {
-	preset      string
-	seed        int64
-	workers     int
-	duration    time.Duration
-	recovery    bool
-	strict      bool
-	trace       bool
-	traceDump   string
-	connect     bool
-	advise      bool
-	groupWindow time.Duration
-	baseline    bool
-	notes       string
-	out         string
+	preset    string
+	seed      int64
+	workers   int
+	duration  time.Duration
+	recovery  bool
+	strict    bool
+	trace     bool
+	traceDump string
+	connect   bool
+	advise    bool
+	baseline  bool
+	notes     string
+	out       string
 }
 
 // runLoad is the service benchmark: a closed-loop workload over the
@@ -44,12 +43,11 @@ func runLoad(o loadOptions) error {
 	cfg.TraceDump = o.traceDump
 	cfg.Connect = o.connect
 	cfg.Advise = o.advise
-	cfg.GroupWindow = o.groupWindow
 	cfg.CompareBaseline = o.baseline
 	cfg.Notes = o.notes
 
-	fmt.Printf("load benchmark: preset %s, %d workers, %s steady state, seed %d, recovery %v, trace %v, connect %v, advise %v, group window %s\n",
-		cfg.Name, cfg.Workers, cfg.Duration, cfg.Seed, cfg.Recovery, cfg.Trace, cfg.Connect, cfg.Advise, cfg.GroupWindow)
+	fmt.Printf("load benchmark: preset %s, %d workers, %s steady state, seed %d, recovery %v, trace %v, connect %v, advise %v\n",
+		cfg.Name, cfg.Workers, cfg.Duration, cfg.Seed, cfg.Recovery, cfg.Trace, cfg.Connect, cfg.Advise)
 	rep, err := loadgen.Run(cfg)
 	if err != nil {
 		return err

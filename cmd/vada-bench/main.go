@@ -44,8 +44,7 @@ func main() {
 	loadTraceDump := flag.String("load-trace-dump", "", "write the server's full span dump to this path after the steady state (-exp load)")
 	loadConnect := flag.Bool("load-connect", false, "add the connector ingest/export round-trip op to the worker mix (-exp load)")
 	loadAdvise := flag.Bool("load-advise", false, "add the advisor suggestion/acceptance loop op to the worker mix (-exp load)")
-	loadGroupWindow := flag.Duration("load-group-window", 0, "journal group-commit window on the hosted server (0 = fsync per append; -exp load)")
-	loadBaseline := flag.Bool("load-baseline", false, "also run the snapshot-per-stage baseline pass (journal and group commit off) and embed its durability cost in the report (-exp load)")
+	loadBaseline := flag.Bool("load-baseline", false, "also run the snapshot-per-stage baseline pass (journal off) over the same per-worker op counts and embed its durability cost in the report (-exp load)")
 	loadNotes := flag.String("load-notes", "", "free-form note copied into the report (-exp load)")
 	out := flag.String("out", "", "write the load report JSON here (-exp load; \"\" = stdout only)")
 	flag.Parse()
@@ -55,8 +54,7 @@ func main() {
 			preset: *loadPreset, seed: *seed, workers: *loadWorkers,
 			duration: *loadDuration, recovery: *loadRecovery, strict: *loadStrict,
 			trace: *loadTrace, traceDump: *loadTraceDump, connect: *loadConnect,
-			advise:      *loadAdvise,
-			groupWindow: *loadGroupWindow, baseline: *loadBaseline,
+			advise: *loadAdvise, baseline: *loadBaseline,
 			notes: *loadNotes, out: *out,
 		}
 		if err := runLoad(opts); err != nil {

@@ -36,7 +36,6 @@ func main() {
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "persist sessions to this directory (an incremental journal per session) and restore them on boot (\"\" = ephemeral)")
 	flag.IntVar(&cfg.JournalMaxRecords, "journal-max-records", 512, "compact a session's journal into a fresh snapshot after this many records (0 = no record threshold)")
 	flag.Int64Var(&cfg.JournalMaxBytes, "journal-max-bytes", 8<<20, "compact a session's journal after this many bytes since the last compaction (0 = no byte threshold)")
-	flag.DurationVar(&cfg.JournalGroupWindow, "journal-group-window", 0, "group-commit latency window: journal appends landing within it share one fsync (0 = fsync per append)")
 	flag.BoolVar(&cfg.RestoreClosed, "restore-closed", false, "restore explicitly DELETEd sessions archived under <data-dir>/closed/ at boot")
 	flag.BoolVar(&cfg.Trace, "trace", true, "record per-request span trees, browsable via GET /api/v1/traces")
 	flag.IntVar(&cfg.TraceCapacity, "trace-max", 0, "traces retained in memory before the oldest is evicted (0 = default)")

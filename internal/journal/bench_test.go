@@ -26,12 +26,13 @@ func benchSession(b *testing.B, n int) (*session.Session, *Record) {
 	var captured *Record
 	sess := session.New("bench", core.BuildScenarioWrangler(sc),
 		session.WithScenario(sc, 11),
-		session.WithStageHook(func(_ context.Context, s *session.Session, ev session.Event) {
+		session.WithStageCommitHook(func(_ context.Context, s *session.Session, ev session.Event) func() {
 			w := s.Wrangler()
 			rec := &Record{At: ev.At, Stage: &StageRecord{Event: ev, Delta: w.CutChangeLog()}}
 			exec, fused := w.ChangeFingerprints()
 			rec.Stage.ExecHashes, rec.Stage.FusedHash = exec, fused
 			captured = rec
+			return nil
 		}))
 	sess.Wrangler().StartChangeLog()
 	if _, err := sess.Bootstrap(ctx); err != nil {

@@ -11,14 +11,13 @@
 //
 // The journal file is an 8-byte magic and a format-version byte, followed
 // by records in the same frame wire form as the envelope's sections —
-// kind | u32 length | JSON payload | CRC-32(payload) — with every append
-// fsynced before it returns. The fsync is either the writer's own (the
-// default) or batched across sessions by a GroupCommitter, which amortises
-// one fsync over the appends that land within a bounded latency window
-// without weakening the durability point. Recovery composes the snapshot with a replay of the
-// journal's valid prefix: a torn tail (the record being appended when the
-// power went) is truncated, not fatal, and a compaction pass folds the
-// journal back into a fresh snapshot and resets it to empty.
+// kind | u32 length | JSON payload | CRC-32(payload) — with every record
+// fsynced before it is acknowledged. Records appended to one file before
+// its next fsync share that fsync, without weakening the durability point.
+// Recovery composes the snapshot with a replay of the journal's valid
+// prefix: a torn tail (the record being appended when the power went) is
+// truncated, not fatal, and a compaction pass folds the journal back into
+// a fresh snapshot and resets it to empty.
 //
 // Lifecycle:
 //
@@ -199,87 +198,56 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Writer appends records to one session's journal file. Every append is
-// fsynced before it is acknowledged — the per-record fsync is the
-// durability point, and its cost is proportional to the record, not the
-// session. In direct mode the whole append (write + fsync) runs under the
-// writer lock; with a GroupCommitter attached, the write still serialises
-// under the lock but the fsync wait happens outside it, so pending appends
-// batch into shared fsyncs (see AppendCommit).
+// Writer appends records to one session's journal file. Every record is
+// fsynced before it is acknowledged, and the fsync's cost is proportional
+// to the record, not the session. AppendCommit writes the frame under the
+// writer lock and returns a wait that makes the file durable up to that
+// record: the first waiter fsyncs everything written so far, and any
+// waiter whose bytes that fsync covered returns without a second one. So
+// consecutive appends to one file share an fsync, while different
+// sessions' files never queue behind one another.
 type Writer struct {
+	// syncMu serialises fsyncs and generation changes (Reset, Close); it is
+	// taken before mu. mu guards the file offset and the bookkeeping, and is
+	// released while a wait's fsync runs so appends can continue.
+	syncMu  sync.Mutex
 	mu      sync.Mutex
-	cond    *sync.Cond // signalled when pending drops to zero
 	f       *os.File
 	path    string
 	seq     uint64
 	records int
 	bytes   int64 // record bytes since the header (== bytes since compaction)
+	gen     *generation
 	closed  bool
-	failed  bool // poisoned: unrewound partial write or failed group commit
+	failed  bool // poisoned: unrewound partial write or failed fsync
 	reg     *metrics.Registry
-
-	gc *GroupCommitter // when set, append fsyncs batch across appends/writers
-
-	// pending counts staged appends whose group fsync has not resolved;
-	// Reset and Close wait for it to drain. staged holds the appends whose
-	// wait has not been invoked yet — callers may defer their waits (plan
-	// batching), so the drain must be able to submit on their behalf or it
-	// would wait forever on fsync requests nobody has issued. failFloor is
-	// the lowest file offset a failed group commit rewound to — staged
-	// appends at or above it were discarded even if their own batch fsync
-	// later succeeded.
-	pending   int
-	staged    map[*stagedAppend]struct{}
-	failFloor int64
 }
 
-// stagedAppend is one group-mode append between its write and its fsync
-// verdict. Its submission — handing the fsync request to the committer and
-// blocking for the verdict — runs exactly once, whether triggered by the
-// caller's wait or force-triggered by Reset/Close draining the writer.
-type stagedAppend struct {
-	w        *Writer
-	gc       *GroupCommitter
-	f        *os.File
-	start    int64
-	frameLen int
-	once     sync.Once
-	res      error
+// generation is the file's life between two truncations. A wait remembers
+// the generation its record was written in: offsets start over after
+// Reset, so an offset alone cannot tell a record Reset made durable from a
+// later record at the same offset.
+type generation struct {
+	durable int64 // every byte below this offset is fsynced
+	pending int   // records written at or past durable
+	err     error // the fsync failure that poisoned this generation
 }
 
-// submit issues the fsync request (first call) and returns the durable
-// verdict; concurrent and repeat calls block on the first and share its
-// result.
-func (sa *stagedAppend) submit() error {
-	sa.once.Do(func() {
-		sa.w.mu.Lock()
-		delete(sa.w.staged, sa)
-		sa.w.mu.Unlock()
-		sa.res = sa.gc.syncWriter(sa.w, sa.f, sa.start, sa.frameLen)
-	})
-	return sa.res
-}
+// batchBuckets are the histogram bounds for persist_group_commit_batch_size:
+// batch sizes are small integers, so the default latency buckets would bin
+// them uselessly.
+var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
-// SetMetrics instruments the writer: appended-record fsyncs are counted
-// and timed (persist_fsync_total{path="journal"},
-// persist_fsync_seconds{path="journal"}), appended bytes accumulate in
-// persist_journal_bytes_total, and each Reset — the post-compaction
-// truncate — bumps persist_compactions_total. Safe to call at any time;
-// the service registers every writer it opens or adopts.
+// SetMetrics instruments the writer: every journal fsync is counted and
+// timed (persist_fsync_total{path="journal"},
+// persist_fsync_seconds{path="journal"}), the records it made durable
+// are observed as one batch (persist_group_commit_batch_size) and their
+// bytes accumulate in persist_journal_bytes_total, and each Reset — the
+// post-compaction truncate — bumps persist_compactions_total. Safe to call
+// at any time; the service registers every writer it opens or adopts.
 func (w *Writer) SetMetrics(reg *metrics.Registry) {
 	w.mu.Lock()
 	w.reg = reg
-	w.mu.Unlock()
-}
-
-// SetGroupCommit routes this writer's append fsyncs through the shared
-// commit coordinator: Append still blocks until its record is durable, but
-// the fsync itself is batched with other writers' pending appends. The
-// coordinator counts the actual fsyncs it issues, so the writer stops
-// counting its own. A nil committer restores the direct per-append fsync.
-func (w *Writer) SetGroupCommit(gc *GroupCommitter) {
-	w.mu.Lock()
-	w.gc = gc
 	w.mu.Unlock()
 }
 
@@ -299,8 +267,7 @@ func Open(path string) (*Writer, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w := &Writer{f: f, path: path}
-	w.cond = sync.NewCond(&w.mu)
+	w := &Writer{f: f, path: path, gen: &generation{durable: HeaderLen}}
 	if info.Size() == 0 {
 		if err := w.writeHeader(); err != nil {
 			f.Close()
@@ -329,6 +296,7 @@ func Open(path string) (*Writer, []Record, error) {
 	}
 	w.records = len(res.Records)
 	w.bytes = res.Valid - HeaderLen
+	w.gen.durable = res.Valid
 	if n := len(res.Records); n > 0 {
 		w.seq = res.Records[n-1].Seq
 	}
@@ -348,13 +316,14 @@ func (w *Writer) writeHeader() error {
 }
 
 // Append assigns the record the next sequence number, frames it, writes it
-// in a single write call and fsyncs (directly, or batched through the
-// group committer). When Append returns nil the record survives kill -9.
-// When the write or sync fails, the file is rewound to the pre-append
-// offset so a torn frame can never sit in the MIDDLE of the file ahead of
-// later successful appends (Replay heals tails, not middles); if even the
-// rewind fails, the writer marks itself failed and refuses further appends
-// rather than silently stranding them behind the damage.
+// in a single write call and fsyncs. When Append returns nil the record
+// survives kill -9. When the write fails, the file is rewound to the
+// pre-append offset so a torn frame can never sit in the MIDDLE of the
+// file ahead of later successful appends (Replay heals tails, not
+// middles); when the fsync fails, the file is rewound to its last durable
+// offset. Either way, if even the rewind fails, the writer marks itself
+// failed and refuses further appends rather than silently stranding them
+// behind the damage.
 func (w *Writer) Append(rec *Record) error {
 	wait, err := w.AppendCommit(rec)
 	if err != nil {
@@ -364,37 +333,32 @@ func (w *Writer) Append(rec *Record) error {
 }
 
 // AppendCommit splits an append into its two halves: the record is framed
-// and written (serialised under the writer lock, so offsets and sequence
-// numbers stay ordered), and the returned wait function blocks until the
-// record is durable. The caller acknowledges the record only after wait
-// returns nil — calling wait outside its own critical sections is what
-// lets consecutive appends overlap one batched fsync. wait is idempotent.
-//
-// Without a group committer the append is already durable when AppendCommit
-// returns and wait is a completed no-op.
+// and written under the writer lock (so offsets and sequence numbers stay
+// ordered), and the returned wait blocks until the file is durable up to
+// the record. The caller acknowledges the record only after wait returns
+// nil. Calling wait outside the caller's own critical sections is what
+// lets consecutive appends share one fsync: the first wait fsyncs every
+// record written so far, so the later ones return at once. wait is
+// idempotent, and a wait left pending across Reset or Close resolves with
+// the fsync those made before truncating or closing.
 func (w *Writer) AppendCommit(rec *Record) (wait func() error, err error) {
 	w.mu.Lock()
-	if w.gc == nil {
-		err := w.appendLocked(rec)
-		w.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return func() error { return nil }, nil
-	}
-	start, frameLen, err := w.stageLocked(rec)
+	defer w.mu.Unlock()
+	frame, err := w.frameRecord(rec)
 	if err != nil {
-		w.mu.Unlock()
 		return nil, err
 	}
-	sa := &stagedAppend{w: w, gc: w.gc, f: w.f, start: start, frameLen: frameLen}
-	w.pending++
-	if w.staged == nil {
-		w.staged = make(map[*stagedAppend]struct{})
+	start := w.endLocked()
+	if _, err := w.f.Write(frame.Bytes()); err != nil {
+		w.rewindLocked(start)
+		return nil, fmt.Errorf("journal: appending record: %w", err)
 	}
-	w.staged[sa] = struct{}{}
-	w.mu.Unlock()
-	return sa.submit, nil
+	w.seq = rec.Seq
+	w.records++
+	w.bytes += int64(frame.Len())
+	g, end := w.gen, w.endLocked()
+	g.pending++
+	return func() error { return w.syncTo(g, end) }, nil
 }
 
 // frameRecord validates the record shape, assigns the next sequence number
@@ -426,87 +390,67 @@ func (w *Writer) frameRecord(rec *Record) (*bytes.Buffer, error) {
 	return &frame, nil
 }
 
-// appendLocked is the direct (ungrouped) append: write, fsync, account.
-func (w *Writer) appendLocked(rec *Record) error {
-	frame, err := w.frameRecord(rec)
-	if err != nil {
-		return err
+// endLocked is the file offset the next record is written at. Callers
+// hold w.mu.
+func (w *Writer) endLocked() int64 { return HeaderLen + w.bytes }
+
+// syncTo blocks until generation g of the file is durable up to end. Only
+// the current generation can still be behind — Reset and Close settle a
+// generation before they retire it — so the fsync always targets the open
+// file. It runs without w.mu, letting appends continue; it covers every
+// byte written before it started.
+func (w *Writer) syncTo(g *generation, end int64) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if g.durable >= end {
+		return nil
 	}
-	start := HeaderLen + w.bytes
-	if _, err := w.f.Write(frame.Bytes()); err != nil {
-		w.rewindLocked(start)
-		return fmt.Errorf("journal: appending record: %w", err)
+	if g.err != nil {
+		return g.err
+	}
+	upTo, n := w.endLocked(), g.pending
+	w.mu.Unlock()
+	t0 := time.Now()
+	err := w.f.Sync()
+	w.mu.Lock()
+	return w.settleLocked(upTo, n, t0, err)
+}
+
+// flushLocked makes every record written in the current generation
+// durable. Callers hold w.syncMu and w.mu.
+func (w *Writer) flushLocked() error {
+	g := w.gen
+	if g.err != nil || g.pending == 0 {
+		return g.err
 	}
 	t0 := time.Now()
-	if err := w.f.Sync(); err != nil {
-		w.rewindLocked(start)
-		return fmt.Errorf("journal: syncing record: %w", err)
+	return w.settleLocked(w.endLocked(), g.pending, t0, w.f.Sync())
+}
+
+// settleLocked records the verdict of an fsync, started at t0, that
+// covered the current generation's first n pending records, up to offset
+// upTo. A failure poisons the writer and the generation, and rewinds the
+// file to its last durable offset: records written since may already sit
+// in the file, so only Reset (which discards everything) revives it.
+// Callers hold w.syncMu and w.mu.
+func (w *Writer) settleLocked(upTo int64, n int, t0 time.Time, err error) error {
+	g := w.gen
+	if err != nil {
+		g.err = fmt.Errorf("journal: syncing record: %w", err)
+		w.failed = true
+		w.rewindLocked(g.durable)
+		return g.err
 	}
 	if w.reg != nil {
 		w.reg.Counter(metrics.Name("persist_fsync_total", "path", "journal")).Inc()
 		w.reg.Histogram(metrics.Name("persist_fsync_seconds", "path", "journal"), nil).ObserveSince(t0)
-		w.reg.Counter("persist_journal_bytes_total").Add(int64(frame.Len()))
+		w.reg.Histogram("persist_group_commit_batch_size", batchBuckets).Observe(float64(n))
+		w.reg.Counter("persist_journal_bytes_total").Add(upTo - g.durable)
 	}
-	w.seq = rec.Seq
-	w.records++
-	w.bytes += int64(frame.Len())
+	g.durable, g.pending = upTo, g.pending-n
 	return nil
-}
-
-// stageLocked is the group-mode first half: write the frame's bytes and
-// commit the in-memory bookkeeping optimistically — the next staged append
-// must see the advanced offset — leaving durability to the group fsync. On
-// a group failure the file is rewound and the writer poisoned; the
-// optimistic counters are reconciled by the Reset that revives it.
-func (w *Writer) stageLocked(rec *Record) (start int64, frameLen int, err error) {
-	frame, err := w.frameRecord(rec)
-	if err != nil {
-		return 0, 0, err
-	}
-	start = HeaderLen + w.bytes
-	if _, err := w.f.Write(frame.Bytes()); err != nil {
-		w.rewindLocked(start)
-		return 0, 0, fmt.Errorf("journal: appending record: %w", err)
-	}
-	w.seq = rec.Seq
-	w.records++
-	w.bytes += int64(frame.Len())
-	return start, frame.Len(), nil
-}
-
-// groupDone resolves one staged append with its batch fsync verdict. It is
-// called exactly once per staged append, sequentially in batch order by the
-// committer's flusher (or inline by the closed-committer fallback), which
-// is what makes the failure bookkeeping race-free: a success is truthful
-// unless an earlier-resolved failure already rewound the file below this
-// append's bytes, and the first failure for the lowest offset wins the
-// rewind. Any group fsync failure poisons the writer — staged appends
-// beyond the rewind point may already sit in the file, so only Reset (which
-// discards everything) revives it.
-func (w *Writer) groupDone(start int64, frameLen int, syncErr error) error {
-	w.mu.Lock()
-	defer func() {
-		w.pending--
-		if w.pending == 0 {
-			w.cond.Broadcast()
-		}
-		w.mu.Unlock()
-	}()
-	if syncErr == nil {
-		if w.failed && start >= w.failFloor {
-			return fmt.Errorf("journal: append discarded by a failed group commit rewind")
-		}
-		if w.reg != nil {
-			w.reg.Counter("persist_journal_bytes_total").Add(int64(frameLen))
-		}
-		return nil
-	}
-	if !w.failed || start < w.failFloor {
-		w.failed = true
-		w.failFloor = start
-		w.rewindLocked(start)
-	}
-	return fmt.Errorf("journal: syncing record: %w", syncErr)
 }
 
 // rewindLocked truncates a partial append away so the file ends at the last
@@ -525,20 +469,22 @@ func (w *Writer) rewindLocked(off int64) {
 
 // Reset truncates the journal back to its header — the step that follows a
 // successful compaction snapshot. Sequence numbering restarts at 1, and a
-// writer poisoned by an unrewindable partial append recovers: the truncate
-// discards the damage along with everything else.
+// writer poisoned by a failed fsync or an unrewindable partial append
+// recovers: the truncate discards the damage along with everything else.
 func (w *Writer) Reset() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("journal: writer closed")
 	}
-	// Staged appends whose group fsync is still pending must resolve first:
-	// truncating under them would acknowledge records the file no longer
-	// holds. Waits that were deferred (plan batching) are force-submitted —
-	// their records are already captured by the compaction snapshot that
-	// precedes this Reset, so resolving them early only strengthens them.
-	w.drainPendingLocked()
+	// Records whose waits are still outstanding (plan batching defers
+	// them) are made durable before the truncate, so those waits resolve
+	// against the retired generation. The compaction snapshot preceding
+	// this Reset already holds them: a failed fsync here fails only their
+	// waits, not the Reset.
+	w.flushLocked()
 	if err := w.f.Truncate(HeaderLen); err != nil {
 		return err
 	}
@@ -549,7 +495,8 @@ func (w *Writer) Reset() error {
 		return err
 	}
 	w.seq, w.records, w.bytes = 0, 0, 0
-	w.failed, w.failFloor = false, 0
+	w.failed = false
+	w.gen = &generation{durable: HeaderLen}
 	if w.reg != nil {
 		w.reg.Counter("persist_compactions_total").Inc()
 	}
@@ -567,40 +514,17 @@ func (w *Writer) Stats() (records int, bytes int64) {
 // Path returns the journal's file path.
 func (w *Writer) Path() string { return w.path }
 
-// Close closes the underlying file after any pending group commits have
-// resolved. Further appends fail; Close is idempotent.
+// Close makes every written record durable, then closes the underlying
+// file. Further appends fail; waits issued before Close resolve with its
+// fsync's verdict. Close is idempotent.
 func (w *Writer) Close() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
 	}
-	w.closed = true // refuse new appends while the pending ones drain
-	w.drainPendingLocked()
-	return w.f.Close()
-}
-
-// drainPendingLocked blocks until every staged append has resolved,
-// force-submitting any whose wait has not been invoked yet: a deferred wait
-// (plan batching) submits its fsync request lazily, and a drain that merely
-// waited would deadlock against a plan blocked behind the very lock the
-// drain's caller holds (recorder compaction). Callers hold w.mu; it is
-// released while submissions run and re-held on return.
-func (w *Writer) drainPendingLocked() {
-	for w.pending > 0 {
-		if len(w.staged) > 0 {
-			staged := make([]*stagedAppend, 0, len(w.staged))
-			for sa := range w.staged {
-				staged = append(staged, sa)
-			}
-			clear(w.staged)
-			w.mu.Unlock()
-			for _, sa := range staged {
-				go sa.submit()
-			}
-			w.mu.Lock()
-			continue
-		}
-		w.cond.Wait()
-	}
+	w.closed = true
+	return errors.Join(w.flushLocked(), w.f.Close())
 }

@@ -379,7 +379,16 @@ func TestComposeGuards(t *testing.T) {
 	}
 }
 
-// stageJournal wires a scenario session whose stage hook records into the
+// commitStage records a completed stage and waits for it to be durable.
+func commitStage(ctx context.Context, r *Recorder, ev session.Event) error {
+	wait, err := r.RecordStageCommit(ctx, ev)
+	if err != nil {
+		return err
+	}
+	return wait()
+}
+
+// stageJournal wires a scenario session whose stage-commit hook records into the
 // given recorder, mirroring the server's wiring.
 func stageJournal(t *testing.T, dir string, n int, opts ...RecorderOption) (*session.Session, *Recorder, *Writer) {
 	t.Helper()
@@ -390,9 +399,16 @@ func stageJournal(t *testing.T, dir string, n int, opts ...RecorderOption) (*ses
 	var rec *Recorder
 	sess := session.New("j1", core.BuildScenarioWrangler(sc),
 		session.WithScenario(sc, 7),
-		session.WithStageHook(func(ctx context.Context, s *session.Session, ev session.Event) {
-			if err := rec.RecordStage(ctx, ev); err != nil {
+		session.WithStageCommitHook(func(ctx context.Context, s *session.Session, ev session.Event) func() {
+			wait, err := rec.RecordStageCommit(ctx, ev)
+			if err != nil {
 				t.Errorf("journal stage: %v", err)
+				return nil
+			}
+			return func() {
+				if err := wait(); err != nil {
+					t.Errorf("journal stage: %v", err)
+				}
 			}
 		}))
 	w, recovered, err := Open(filepath.Join(dir, "j1.vjournal"))
@@ -646,7 +662,7 @@ func TestRecorderDeferredBaseline(t *testing.T) {
 		t.Fatalf("baseline ran %d times, want 1", calls)
 	}
 	fail = false
-	if err := rec.RecordStage(ctx, session.Event{Seq: 2, Type: session.EventStage,
+	if err := commitStage(ctx, rec, session.Event{Seq: 2, Type: session.EventStage,
 		Stage: session.StageDataContext, At: time.Now()}); err != nil {
 		t.Fatalf("record after baseline recovery: %v", err)
 	}
@@ -657,7 +673,7 @@ func TestRecorderDeferredBaseline(t *testing.T) {
 	if err := rec.RecordRuns(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.RecordStage(ctx, session.Event{Seq: 3, Type: session.EventStage,
+	if err := commitStage(ctx, rec, session.Event{Seq: 3, Type: session.EventStage,
 		Stage: session.StageFeedback, At: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +691,7 @@ func TestRecorderDeferredBaseline(t *testing.T) {
 	if err := rec2.Compact(func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec2.RecordStage(ctx, ev); err != nil {
+	if err := commitStage(ctx, rec2, ev); err != nil {
 		t.Fatal(err)
 	}
 	if calls2 != 0 {

@@ -18,13 +18,14 @@ import (
 // incremental durability — a compaction snapshot folding the journal away
 // while a finishing stage is about to append to it.
 //
-// All mutation capture is serialised on the recorder's lock. RecordStage is
-// called from the session's stage hook (under the session's run mutex), so
-// a stage's delta is cut before the next stage can write; Compact holds the
-// same lock across capture-snapshot → write → truncate, so an append can
-// never land in the window where it would be truncated without being in the
-// snapshot — it either precedes the capture (folded in, then truncated) or
-// waits and lands in the fresh, empty journal.
+// All mutation capture is serialised on the recorder's lock.
+// RecordStageCommit is called from the session's stage-commit hook (under
+// the session's run mutex), so a stage's delta is cut before the next stage
+// can write; Compact holds the same lock across capture-snapshot → write →
+// truncate, so an append can never land in the window where it would be
+// truncated without being in the snapshot — it either precedes the capture
+// (folded in, then truncated) or waits and lands in the fresh, empty
+// journal.
 type Recorder struct {
 	w    *Writer
 	sess *session.Session
@@ -84,27 +85,16 @@ func NewRecorder(w *Writer, sess *session.Session, knownRuns []runs.Run, opts ..
 	return r
 }
 
-// RecordStage appends the mutation record of one completed stage: the
-// event, the knowledge-base delta since the previous record, the feedback
-// items the stage added, and the post-stage fingerprints. Call it from the
-// session's stage hook so the capture is race-free with the next stage;
-// the hook's context carries the stage's trace span, under which the
-// fsynced append is recorded as a `journal.append` child.
-func (r *Recorder) RecordStage(ctx context.Context, ev session.Event) error {
-	wait, err := r.RecordStageCommit(ctx, ev)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// RecordStageCommit is the two-phase form of RecordStage: the stage's
-// mutation record is captured and written under the recorder lock (so the
-// delta cut stays race-free with the next stage), and the returned wait
-// blocks until the record is durable. Callers that hold a coarser lock —
-// the session's run mutex in the stage hook — call wait after releasing
-// it, which is what lets the group committer batch one fsync across
-// consecutive stages and concurrent sessions.
+// RecordStageCommit appends the mutation record of one completed stage —
+// the event, the knowledge-base delta since the previous record, the
+// feedback items the stage added, and the post-stage fingerprints — and
+// returns a wait that blocks until the record is durable. Call it from the
+// session's stage-commit hook: the capture and write run under the
+// recorder lock, so the delta cut stays race-free with the next stage, and
+// the session invokes the wait after releasing its run mutex, so a plan's
+// consecutive stage records share one fsync. The hook's context carries the
+// stage's trace span, under which the append is recorded as a
+// `journal.append` child.
 func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (func() error, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -132,9 +122,7 @@ func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (fun
 		"kind", "stage", "session", r.sess.ID())
 	wait, err := r.w.AppendCommit(rec)
 	if err != nil {
-		if span != nil {
-			span.EndErr(err)
-		}
+		span.EndErr(err)
 		return nil, err
 	}
 	return func() error {
@@ -144,17 +132,18 @@ func (r *Recorder) RecordStageCommit(ctx context.Context, ev session.Event) (fun
 		err := r.ensureBaseline()
 		if err == nil {
 			err = wait()
-		} else {
-			wait() // resolve the staged append; its verdict is moot
 		}
-		if span != nil {
-			if err == nil {
-				span.SetAttr("seq", fmt.Sprint(rec.Seq))
-			}
-			span.EndErr(err)
-		}
+		endAppend(span, rec.Seq, err)
 		return err
 	}, nil
+}
+
+// endAppend ends a `journal.append` span with the record's verdict.
+func endAppend(span *trace.Span, seq uint64, err error) {
+	if err == nil {
+		span.SetAttr("seq", fmt.Sprint(seq))
+	}
+	span.EndErr(err)
 }
 
 // ensureBaseline runs the deferred baseline-snapshot hook exactly once
@@ -178,8 +167,11 @@ func (r *Recorder) ensureBaseline() error {
 }
 
 // RecordRuns appends run records for every given run that is terminal and
-// not yet journaled, returning the first append error. The caller passes
-// the engine's ListTerminal snapshot; redundant calls are cheap no-ops.
+// not yet journaled, then waits once for all of them to be durable,
+// returning the first error. The caller passes the engine's ListTerminal
+// snapshot; redundant calls are cheap no-ops. Each record gets a
+// `journal.append` span when ctx carries one — the persist leaf of a run's
+// trace tree.
 func (r *Recorder) RecordRuns(ctx context.Context, list []runs.Run) error {
 	// Callers (the persister) hold no session lock here, so the deferred
 	// baseline can be written inline, before the records it underpins.
@@ -188,31 +180,41 @@ func (r *Recorder) RecordRuns(ctx context.Context, list []runs.Run) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var (
+		wait    func() error
+		err     error
+		spans   []*trace.Span
+		written []*Record
+	)
 	for i := range list {
 		run := list[i]
 		if !run.State.Terminal() || r.runSeen[run.ID] {
 			continue
 		}
-		if err := r.appendTraced(ctx, &Record{At: time.Now(), Run: &run}, "run"); err != nil {
-			return err
+		span := trace.ChildFromContext(ctx, "journal.append",
+			"kind", "run", "session", r.sess.ID())
+		rec := &Record{At: time.Now(), Run: &run}
+		w, aerr := r.w.AppendCommit(rec)
+		if aerr != nil {
+			span.EndErr(aerr)
+			err = aerr
+			break
 		}
-		r.runSeen[run.ID] = true
+		wait, spans, written = w, append(spans, span), append(written, rec)
 	}
-	return nil
-}
-
-// appendTraced performs one fsynced journal append under a
-// `journal.append` span when ctx carries one — the persist leaf of a run's
-// trace tree. Callers hold r.mu.
-func (r *Recorder) appendTraced(ctx context.Context, rec *Record, kind string) error {
-	span := trace.ChildFromContext(ctx, "journal.append",
-		"kind", kind, "session", r.sess.ID())
-	err := r.w.Append(rec)
-	if span != nil {
-		if err == nil {
-			span.SetAttr("seq", fmt.Sprint(rec.Seq))
+	if wait == nil {
+		return err
+	}
+	// The last record's wait covers every record written before it.
+	werr := wait()
+	for i, rec := range written {
+		endAppend(spans[i], rec.Seq, werr)
+		if werr == nil {
+			r.runSeen[rec.Run.ID] = true
 		}
-		span.EndErr(err)
+	}
+	if err == nil {
+		err = werr
 	}
 	return err
 }

@@ -72,11 +72,6 @@ type Config struct {
 	// retained span, keyed by trace ID) to this path after the steady
 	// state — the artifact CI uploads when the completeness gate fails.
 	TraceDump string `json:"-"`
-	// GroupWindow enables journal group commit in the hosted server:
-	// appends landing within the window share one fsync.
-	GroupWindow time.Duration `json:"-"`
-	// GroupWindowMs mirrors GroupWindow in the JSON report.
-	GroupWindowMs float64 `json:"group_window_ms,omitempty"`
 	// SnapshotOnly replaces the journal and persists the full snapshot
 	// envelope per completed stage instead — the same per-stage durability
 	// point, paid for wholesale. This is the mode CompareBaseline measures
@@ -85,7 +80,9 @@ type Config struct {
 	// CompareBaseline runs a second, baseline pass — same workload in
 	// SnapshotOnly mode, every persist a full fsynced envelope — and embeds
 	// its durability cost in the report, so one run carries its own
-	// regression reference for the journal + group-commit stack.
+	// regression reference for the journal. The baseline pass replays the
+	// first pass's per-worker op counts instead of running for Duration,
+	// so both passes do the same amount of work.
 	CompareBaseline bool `json:"-"`
 	// Notes is free-form context copied into the report (e.g. "tracing
 	// overhead vs BENCH_1").
@@ -217,6 +214,14 @@ type driver struct {
 // is hosted in-process; nothing listens beyond the loopback listener of
 // net/http/httptest.
 func Run(cfg Config) (*Report, error) {
+	r, _, err := run(cfg, nil)
+	return r, err
+}
+
+// run executes one pass. With replay nil every worker runs until the
+// steady-state deadline; otherwise worker i runs exactly replay[i]
+// operations. It returns the per-worker op counts alongside the report.
+func run(cfg Config, replay []int) (*Report, []int, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -224,7 +229,6 @@ func Run(cfg Config) (*Report, error) {
 		cfg.Duration = 5 * time.Second
 	}
 	cfg.DurationS = cfg.Duration.Seconds()
-	cfg.GroupWindowMs = float64(cfg.GroupWindow.Microseconds()) / 1000
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = cfg.Workers
 	}
@@ -238,7 +242,7 @@ func Run(cfg Config) (*Report, error) {
 	if dataDir == "" {
 		tmp, err := os.MkdirTemp("", "vada-loadgen-*")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defer os.RemoveAll(tmp)
 		dataDir = tmp
@@ -250,7 +254,7 @@ func Run(cfg Config) (*Report, error) {
 		http:   &http.Client{Timeout: 30 * time.Second},
 	}
 	if err := d.boot(dataDir); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		if d.ts != nil {
@@ -263,16 +267,22 @@ func Run(cfg Config) (*Report, error) {
 
 	before, err := d.metricz()
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: initial metricz: %w", err)
+		return nil, nil, fmt.Errorf("loadgen: initial metricz: %w", err)
 	}
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
+	ops := make([]int, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
+		more := func(int) bool { return time.Now().Before(deadline) }
+		if replay != nil {
+			limit := replay[w]
+			more = func(done int) bool { return done < limit }
+		}
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			d.worker(rand.New(rand.NewSource(cfg.Seed+int64(id))), deadline)
+			ops[id] = d.worker(rand.New(rand.NewSource(cfg.Seed+int64(id))), more)
 		}(w)
 	}
 	wg.Wait()
@@ -281,14 +291,14 @@ func Run(cfg Config) (*Report, error) {
 	// registry, so a post-recovery snapshot would zero every counter.
 	after, err := d.metricz()
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: final metricz: %w", err)
+		return nil, nil, fmt.Errorf("loadgen: final metricz: %w", err)
 	}
 	// Likewise the trace checks: the store is in-memory, so completeness is
 	// asserted against the server that ran the workload, not its restart.
 	traced, missing := d.verifyTraces()
 	if cfg.TraceDump != "" {
 		if err := d.writeTraceDump(cfg.TraceDump); err != nil {
-			return nil, fmt.Errorf("loadgen: writing trace dump: %w", err)
+			return nil, nil, fmt.Errorf("loadgen: writing trace dump: %w", err)
 		}
 	}
 	var rec *Recovery
@@ -299,27 +309,30 @@ func Run(cfg Config) (*Report, error) {
 	r.RunsTraced, r.RunsMissingTrace = traced, missing
 	r.Notes = cfg.Notes
 	if cfg.CompareBaseline {
-		if err := attachBaseline(r, cfg); err != nil {
-			return nil, err
+		if err := attachBaseline(r, cfg, ops); err != nil {
+			return nil, nil, err
 		}
 	}
-	return r, nil
+	return r, ops, nil
 }
 
 // attachBaseline runs the comparison pass — identical workload in
-// snapshot-per-stage mode (journal and group commit off, so every persist
-// is a full fsynced envelope), no recovery or trace phases (the counters
-// it exists for are steady-state) — and embeds its durability cost in r.
-func attachBaseline(r *Report, cfg Config) error {
+// snapshot-per-stage mode (journal off, so every persist is a full fsynced
+// envelope), no recovery or trace phases (the counters it exists for are
+// steady-state) — and embeds its durability cost in r. The pass replays
+// ops, the journal pass's per-worker op counts, rather than racing its own
+// deadline: the slower baseline would otherwise complete less work, and
+// the per-run comparison would measure the difference in work, not in
+// durability cost.
+func attachBaseline(r *Report, cfg Config, ops []int) error {
 	bcfg := cfg
 	bcfg.Name = cfg.Name + "-snapshot-baseline"
 	bcfg.CompareBaseline = false
 	bcfg.SnapshotOnly = true
-	bcfg.GroupWindow = 0
 	bcfg.Recovery, bcfg.Trace, bcfg.TraceDump = false, false, ""
 	bcfg.Notes = ""
 	bcfg.DataDir = ""
-	brep, err := Run(bcfg)
+	brep, _, err := run(bcfg, ops)
 	if err != nil {
 		return fmt.Errorf("loadgen: baseline pass: %w", err)
 	}
@@ -421,9 +434,6 @@ func (d *driver) serverConfig() server.Config {
 		sc.JournalMaxBytes = 4 << 20
 	}
 	sc.SnapshotPerStage = d.cfg.SnapshotOnly
-	if d.cfg.GroupWindow > 0 {
-		sc.JournalGroupWindow = d.cfg.GroupWindow
-	}
 	if d.cfg.Trace {
 		sc.Trace = true
 		if sc.TraceCapacity == 0 {
@@ -457,9 +467,11 @@ func (d *driver) boot(dataDir string) error {
 func (d *driver) base() string { return d.ts.URL + "/api/v1" }
 
 // worker is one closed-loop client: it keeps exactly one operation in
-// flight, choosing the next by weighted draw from its own PRNG.
-func (d *driver) worker(rng *rand.Rand, deadline time.Time) {
-	for time.Now().Before(deadline) {
+// flight, choosing the next by weighted draw from its own PRNG, for as long
+// as more(operations done so far) holds, and returns its operation count.
+func (d *driver) worker(rng *rand.Rand, more func(done int) bool) int {
+	done := 0
+	for ; more(done); done++ {
 		switch p := rng.Intn(100); {
 		case p < 20:
 			d.opCreate(rng)
@@ -493,6 +505,7 @@ func (d *driver) worker(rng *rand.Rand, deadline time.Time) {
 			d.opDelete(rng)
 		}
 	}
+	return done
 }
 
 // observe records one operation's latency and outcome under its op class.

@@ -43,12 +43,13 @@
 // CRC-framed, fsynced record carrying only the mutation delta — relation
 // replacements as row-level diffs where they provably reproduce the new
 // relation, wholesale otherwise — instead of rewriting the whole snapshot
-// envelope. With -journal-group-window, appends landing within the window
-// share one fsync. When the journal crosses -journal-max-records or
-// -journal-max-bytes (and on evict and graceful shutdown) it is compacted:
-// folded into a fresh full snapshot and truncated. Boot recovery composes
-// the last snapshot with the journal's valid prefix; a record torn by
-// kill -9 mid-append is truncated, never fatal.
+// envelope. Appends to one journal that are pending at the same time share
+// one fsync, so a multi-stage plan pays one for all of its stage records.
+// When the journal crosses -journal-max-records or -journal-max-bytes (and
+// on evict and graceful shutdown) it is compacted: folded into a fresh
+// full snapshot and truncated. Boot recovery composes the last snapshot
+// with the journal's valid prefix; a record torn by kill -9 mid-append is
+// truncated, never fatal.
 //
 // Every persisted session is restored at boot — event history, result and
 // terminal run resources included — so a server killed outright (kill -9)
@@ -198,10 +199,6 @@ type Server struct {
 	snapshotPerStage  bool
 	restoreClosed     bool
 
-	// committer is the shared group-commit coordinator batching journal
-	// fsyncs across sessions (nil = direct per-append fsync).
-	committer *journal.GroupCommitter
-
 	// recorders maps live session IDs to their journal recorders; deleting
 	// refcounts sessions being explicitly DELETEd so the evict hook
 	// garbage-collects their durable state instead of persisting it (a
@@ -241,15 +238,10 @@ type Config struct {
 	// thresholds.
 	JournalMaxRecords int
 	JournalMaxBytes   int64
-	// JournalGroupWindow enables group commit: journal appends landing
-	// within the window share one fsync instead of paying one each (0 =
-	// every append fsyncs directly).
-	JournalGroupWindow time.Duration
 	// SnapshotPerStage replaces the journal with a full snapshot envelope
 	// persisted after every completed stage — the journal's per-stage
 	// durability point at wholesale cost. It is the baseline configuration
-	// the load benchmark's regression gate measures the journal +
-	// group-commit stack against.
+	// the load benchmark's regression gate measures the journal against.
 	SnapshotPerStage bool
 	// RestoreClosed restores explicitly DELETEd archived sessions at boot.
 	RestoreClosed bool
@@ -349,11 +341,6 @@ func New(cfg Config) (*Server, error) {
 			s.logger.Info("session closed", "session", id)
 		}),
 	)
-	// The committer must exist before restoreAll: recovered sessions adopt
-	// their journals during restore and wire into the same batch stream.
-	if s.journalOn() && cfg.JournalGroupWindow > 0 {
-		s.committer = journal.NewGroupCommitter(cfg.JournalGroupWindow, journal.DefaultGroupMax, s.metrics)
-	}
 	if s.dataDir != "" {
 		if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("creating -data-dir: %w", err)
@@ -410,8 +397,8 @@ func (s *Server) snapshotStage(ctx context.Context, sess *session.Session, ev se
 // append per completed stage. It runs under the session's run mutex, so
 // the delta cut inside RecordStageCommit cannot race the next stage's
 // writes; the returned wait — invoked by Step after the run mutex is
-// released — blocks until the record is durable, letting the group
-// committer batch the fsync with other pending appends. ctx carries the
+// released — blocks until the record is durable, sharing its fsync with
+// the session's other pending appends. ctx carries the
 // stage's trace span, making the append a `journal.append` child of it. An
 // append failure is logged, not fatal — the compaction and evict snapshots
 // backstop it.
@@ -508,9 +495,6 @@ func (s *Server) startJournal(sess *session.Session) error {
 // any recorder a superseded session left under the same ID.
 func (s *Server) adoptJournal(sess *session.Session, w *journal.Writer, knownRuns []runs.Run, opts ...journal.RecorderOption) {
 	w.SetMetrics(s.metrics)
-	if s.committer != nil {
-		w.SetGroupCommit(s.committer)
-	}
 	rec := journal.NewRecorder(w, sess, knownRuns, opts...)
 	s.recMu.Lock()
 	if s.recorders == nil {
@@ -646,12 +630,6 @@ func (s *Server) Close() {
 			s.persistWG.Wait()
 		}
 		s.persistAll()
-		// After persistAll: the final compaction snapshots may still append
-		// (run records) through the group committer; close it only once no
-		// writer will submit again.
-		if s.committer != nil {
-			s.committer.Close()
-		}
 		if s.stopSampler != nil {
 			s.stopSampler()
 		}
@@ -1737,15 +1715,6 @@ func (s *Server) persistStats() map[string]any {
 	}
 	if s.snapshotPerStage {
 		out["snapshot_per_stage"] = true
-	}
-	if s.committer != nil {
-		snap := s.metrics.Snapshot()
-		out["group_commit"] = map[string]any{
-			"window":    s.committer.Window().String(),
-			"max_batch": s.committer.MaxBatch(),
-			"commits":   snap.Counters["persist_group_commits_total"],
-			"fsyncs":    metrics.SumCounters(snap, "persist_fsync_total"),
-		}
 	}
 	s.persistMu.Lock()
 	if !s.lastSnapshotAt.IsZero() {

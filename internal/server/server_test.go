@@ -2156,6 +2156,57 @@ func TestHealthzPersistStats(t *testing.T) {
 	}
 }
 
+// TestPlanStageRecordsShareOneFsync pins the commit path's saving in the
+// default wiring: a k-stage plan's k stage records become durable with
+// ONE journal fsync (the deferred waits of the plan share it), and the
+// terminal run record the persister appends afterwards costs one more.
+// Every record is counted in exactly one fsync's batch.
+func TestPlanStageRecordsShareOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := durableServer(t, dir)
+	t.Cleanup(s.Close)
+
+	id := createSession(t, ts, "")
+	const k = 3
+	plan := `{"stages":[{"stage":"bootstrap"},{"stage":"data-context"},{"stage":"quality-report"}]}`
+	resp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/plans", "application/json", strings.NewReader(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit plan: %s", resp.Status)
+	}
+	run := pollRun(t, ts.URL+resp.Header.Get("Location"))
+	if run["state"] != "succeeded" {
+		t.Fatalf("plan run: %v", run)
+	}
+	path := filepath.Join(dir, id+journalExt)
+	waitJournalRun(t, path, run["id"].(string))
+	recs := readJournal(t, path)
+	if len(recs) != k+1 {
+		t.Fatalf("journal holds %d records, want %d stage records + 1 run record", len(recs), k)
+	}
+	// The run record is in the file before its wait counts its fsync:
+	// poll until every record's bytes are counted durable.
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := info.Size() - journal.HeaderLen
+	deadline := time.Now().Add(10 * time.Second)
+	for s.metrics.Counter("persist_journal_bytes_total").Value() < durable && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	snap := s.metrics.Snapshot()
+	fsyncs := snap.Counters[metrics.Name("persist_fsync_total", "path", "journal")]
+	batch := snap.Histograms["persist_group_commit_batch_size"]
+	if fsyncs != 2 || batch.Count != 2 || batch.Sum != k+1 {
+		t.Fatalf("journal fsyncs %d (batches %d covering %v records), want 2: one for the %d stage records, one for the run record",
+			fsyncs, batch.Count, batch.Sum, k)
+	}
+}
+
 // TestDrainHints pins the persister's burst coalescing: queued hints
 // collapse into unique session IDs in first-seen order.
 func TestDrainHints(t *testing.T) {

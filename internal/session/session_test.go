@@ -625,7 +625,7 @@ func TestStageHook(t *testing.T) {
 	var sess *Session
 	sess = New("hooked", core.BuildScenarioWrangler(sc),
 		WithScenario(sc, 1),
-		WithStageHook(func(_ context.Context, s *Session, ev Event) {
+		WithStageCommitHook(func(_ context.Context, s *Session, ev Event) func() {
 			if s != sess {
 				t.Error("hook got a different session")
 			}
@@ -634,6 +634,7 @@ func TestStageHook(t *testing.T) {
 			if got := s.Events(); len(got) != ev.Seq {
 				t.Errorf("hook sees %d events, want %d", len(got), ev.Seq)
 			}
+			return nil
 		}))
 	if _, err := sess.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
